@@ -66,7 +66,6 @@ from .vector import (
     VectorProxResult,
     logsum_penalty,
     prox_vector,
-    prox_vector_sorted_check,
     vector_objective,
 )
 
@@ -125,7 +124,6 @@ __all__ = [
     "VectorProxResult",
     "logsum_penalty",
     "prox_vector",
-    "prox_vector_sorted_check",
     "vector_objective",
     "__version__",
 ]

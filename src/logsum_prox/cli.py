@@ -5,12 +5,10 @@ Subcommands: ``prox``, ``zstar``, ``irl1 {simulate,predict,failures}``,
 printed numbers equal direct library calls exactly.
 
 Output formats: ``text`` (6 significant digits), ``csv`` and ``json``
-(17 significant digits / shortest round-trip form).  Exit codes: 0 success,
-2 usage or input-file error, 3 regime/domain error, 4 convergence failure.
-
-``LOGSUM_PROX_THREADS`` caps internal parallelism; ``sweep`` evaluates its
-grid in ordered chunks across that many threads, with output independent of
-the thread count.
+(17 significant digits / shortest round-trip form).  Every command hands
+:func:`_emit` one renderer per format and only the requested one runs.
+Exit codes: 0 success, 2 usage or input-file error, 3 regime/domain error,
+4 convergence failure.
 """
 
 from __future__ import annotations
@@ -18,9 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -43,10 +39,6 @@ from .scalar import ProxParams, Regime, prox_scalar, z_star
 from .vector import prox_vector
 
 __all__ = ["main", "build_parser"]
-
-
-def _fmt17(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def _fmt6(v: float) -> str:
@@ -85,26 +77,31 @@ def _sweep_spec(text: str) -> tuple[float, float, int]:
     return a, b, n
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("LOGSUM_PROX_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+def _cell(v) -> str:
+    """One CSV cell: floats to 17 significant digits, anything else via ``str``."""
+    return format(float(v), ".17g") if isinstance(v, float) else str(v)
 
 
-def _emit(args, text_lines) -> None:
-    out = "\n".join(text_lines) + "\n"
-    if getattr(args, "output", None):
+def _emit(args, text, csv=None, payload=None) -> None:
+    """Write the output in ``args.format`` to ``args.output`` or stdout.
+
+    ``text`` returns the text lines, ``csv`` a ``(header, rows)`` pair and
+    ``payload`` the JSON document; all three are zero-argument callables and
+    only the one for the requested format is called.
+    """
+    if args.format == "json":
+        lines = [json.dumps(payload(), indent=2, sort_keys=True)]
+    elif args.format == "csv":
+        header, rows = csv()
+        lines = [header, *(",".join(map(_cell, row)) for row in rows)]
+    else:
+        lines = text()
+    out = "\n".join(lines) + "\n"
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(out)
     else:
         sys.stdout.write(out)
-
-
-def _emit_json(args, payload) -> None:
-    _emit(args, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def _params(args) -> ProxParams:
@@ -127,30 +124,33 @@ def cmd_prox(args) -> int:
     zs = None
     if params.regime() is Regime.NONCONVEX:
         zs = z_star(params).z_star
-    if args.format == "json":
-        _emit_json(args, {
+    pairs = list(zip(args.z, res.canonical))
+    amb = set(res.ambiguous_indices)
+
+    def text():
+        lines = [f"regime: {params.regime().value}"]
+        if zs is not None:
+            lines.append(f"z_star: {_fmt6(zs)}")
+        for i, (zi, vi) in enumerate(pairs):
+            mark = "  (ambiguous: 0 and sgn(z)*r2(z_star) tie)" if i in amb else ""
+            lines.append(f"prox({_fmt6(zi)}) = {_fmt6(vi)}{mark}")
+        lines.append(f"objective: {_fmt6(res.objective_value)}")
+        return lines
+
+    _emit(
+        args,
+        text,
+        csv=lambda: ("index,z,value,ambiguous",
+                     ((i, zi, vi, str(i in amb).lower()) for i, (zi, vi) in enumerate(pairs))),
+        payload=lambda: {
             "inputs": {"lambda": params.lam, "eps": params.eps, "z": list(args.z)},
             "values": [float(v) for v in res.canonical],
             "regime": params.regime().value,
             "z_star": zs,
             "ambiguous_indices": list(res.ambiguous_indices),
             "objective": res.objective_value,
-        })
-    elif args.format == "csv":
-        lines = ["index,z,value,ambiguous"]
-        for i, (zi, vi) in enumerate(zip(args.z, res.canonical)):
-            amb = "true" if i in res.ambiguous_indices else "false"
-            lines.append(f"{i},{_fmt17(zi)},{_fmt17(vi)},{amb}")
-        _emit(args, lines)
-    else:
-        lines = [f"regime: {params.regime().value}"]
-        if zs is not None:
-            lines.append(f"z_star: {_fmt6(zs)}")
-        for i, (zi, vi) in enumerate(zip(args.z, res.canonical)):
-            mark = "  (ambiguous: 0 and sgn(z)*r2(z_star) tie)" if i in res.ambiguous_indices else ""
-            lines.append(f"prox({_fmt6(zi)}) = {_fmt6(vi)}{mark}")
-        lines.append(f"objective: {_fmt6(res.objective_value)}")
-        _emit(args, lines)
+        },
+    )
     return 0
 
 
@@ -160,72 +160,64 @@ def cmd_zstar(args) -> int:
         sys.stderr.write("convex regime: no jump point\n")
         return 3
     res = z_star(params, tol=args.tol, max_iter=args.max_iter)
-    if args.format == "json":
-        _emit_json(args, {
-            "inputs": {"lambda": params.lam, "eps": params.eps},
-            "z_star": res.z_star,
-            "bracket": [res.bracket[0], res.bracket[1]],
-            "iterations": res.iterations,
-            "residual": res.residual,
-        })
-    elif args.format == "csv":
-        _emit(args, [
-            "z_star,bracket_low,bracket_high,iterations,residual",
-            f"{_fmt17(res.z_star)},{_fmt17(res.bracket[0])},{_fmt17(res.bracket[1])},"
-            f"{res.iterations},{_fmt17(res.residual)}",
-        ])
-    else:
-        _emit(args, [
+    lo, hi = res.bracket
+    _emit(
+        args,
+        lambda: [
             f"z_star: {_fmt6(res.z_star)}",
-            f"bracket: [{_fmt6(res.bracket[0])}, {_fmt6(res.bracket[1])}]",
+            f"bracket: [{_fmt6(lo)}, {_fmt6(hi)}]",
             f"iterations: {res.iterations}",
             f"residual: {_fmt6(res.residual)}",
-        ])
+        ],
+        csv=lambda: ("z_star,bracket_low,bracket_high,iterations,residual",
+                     [(res.z_star, lo, hi, res.iterations, res.residual)]),
+        payload=lambda: {
+            "inputs": {"lambda": params.lam, "eps": params.eps},
+            "z_star": res.z_star,
+            "bracket": [lo, hi],
+            "iterations": res.iterations,
+            "residual": res.residual,
+        },
+    )
     return 0
 
 
 def cmd_irl1_simulate(args) -> int:
     params = _params(args)
     trace = irl1_simulate(params, args.z, args.x0, stop_tol=args.tol, max_iters=args.max_iters)
-    if args.format == "json":
-        _emit_json(args, {
+    _emit(
+        args,
+        lambda: [
+            f"iterations: {len(trace.iterates) - 1}",
+            f"stop_reason: {trace.stop_reason.value}",
+            f"limit_estimate: {_fmt6(trace.limit_estimate)}",
+        ],
+        csv=lambda: ("iter,x", enumerate(trace.iterates)),
+        payload=lambda: {
             "inputs": {"lambda": params.lam, "eps": params.eps, "z": args.z, "x0": args.x0},
             "stop_reason": trace.stop_reason.value,
             "iterations": len(trace.iterates) - 1,
             "limit_estimate": trace.limit_estimate,
             "iterates": list(trace.iterates),
-        })
-    elif args.format == "csv":
-        lines = ["iter,x"]
-        lines += [f"{k},{_fmt17(x)}" for k, x in enumerate(trace.iterates)]
-        _emit(args, lines)
-    else:
-        _emit(args, [
-            f"iterations: {len(trace.iterates) - 1}",
-            f"stop_reason: {trace.stop_reason.value}",
-            f"limit_estimate: {_fmt6(trace.limit_estimate)}",
-        ])
+        },
+    )
     return 0
 
 
 def cmd_irl1_predict(args) -> int:
     params = _params(args)
     pred = irl1_predict_limit(params, args.z, args.x0)
-    if args.format == "json":
-        _emit_json(args, {
-            "limit": pred.limit,
-            "classification": pred.classification.value,
-            "lemma": pred.justification,
-        })
-    elif args.format == "csv":
-        _emit(args, ["limit,classification,lemma",
-                     f"{_fmt17(pred.limit)},{pred.classification.value},{pred.justification}"])
-    else:
-        _emit(args, [
+    kind = pred.classification.value
+    _emit(
+        args,
+        lambda: [
             f"limit: {_fmt6(pred.limit)}",
-            f"classification: {pred.classification.value}",
+            f"classification: {kind}",
             f"lemma: {pred.justification}",
-        ])
+        ],
+        csv=lambda: ("limit,classification,lemma", [(pred.limit, kind, pred.justification)]),
+        payload=lambda: {"limit": pred.limit, "classification": kind, "lemma": pred.justification},
+    )
     return 0
 
 
@@ -241,36 +233,8 @@ def cmd_irl1_failures(args) -> int:
             true = prox_scalar(params, z).canonical
             agree = limit_matches_prox(params, z, limit)
             sweep_rows.append((z, limit, true, agree))
-    if args.format == "json":
-        _emit_json(args, {
-            "x0": report.x0,
-            "z_star": report.z_star,
-            "case": report.case.value,
-            "intervals": [
-                {"lower": iv.lower, "upper": iv.upper,
-                 "lower_closed": iv.lower_closed, "upper_closed": iv.upper_closed}
-                for iv in report.intervals
-            ],
-            "sweep": [
-                {"z": z, "irl1_limit": lim, "true_prox": tp, "agree": ag}
-                for z, lim, tp, ag in sweep_rows
-            ],
-        })
-    elif args.format == "csv":
-        if sweep_rows:
-            lines = ["z,irl1_limit,true_prox,agree"]
-            lines += [
-                f"{_fmt17(z)},{_fmt17(lim)},{_fmt17(tp)},{'true' if ag else 'false'}"
-                for z, lim, tp, ag in sweep_rows
-            ]
-        else:
-            lines = ["lower,upper,lower_closed,upper_closed"]
-            lines += [
-                f"{_fmt17(iv.lower)},{_fmt17(iv.upper)},{iv.lower_closed},{iv.upper_closed}"
-                for iv in report.intervals
-            ]
-        _emit(args, lines)
-    else:
+
+    def text():
         lines = [f"case: {report.case.value}"]
         if report.z_star is not None:
             lines.append(f"z_star: {_fmt6(report.z_star)}")
@@ -283,42 +247,54 @@ def cmd_irl1_failures(args) -> int:
             lines.append(
                 f"z={_fmt6(z)} irl1={_fmt6(lim)} prox={_fmt6(tp)} agree={'yes' if ag else 'no'}"
             )
-        _emit(args, lines)
+        return lines
+
+    def csv():
+        if sweep_rows:
+            return ("z,irl1_limit,true_prox,agree",
+                    ((z, lim, tp, str(ag).lower()) for z, lim, tp, ag in sweep_rows))
+        return ("lower,upper,lower_closed,upper_closed",
+                ((iv.lower, iv.upper, iv.lower_closed, iv.upper_closed) for iv in report.intervals))
+
+    _emit(
+        args,
+        text,
+        csv=csv,
+        payload=lambda: {
+            "x0": report.x0,
+            "z_star": report.z_star,
+            "case": report.case.value,
+            "intervals": [
+                {"lower": iv.lower, "upper": iv.upper,
+                 "lower_closed": iv.lower_closed, "upper_closed": iv.upper_closed}
+                for iv in report.intervals
+            ],
+            "sweep": [
+                {"z": z, "irl1_limit": lim, "true_prox": tp, "agree": ag}
+                for z, lim, tp, ag in sweep_rows
+            ],
+        },
+    )
     return 0
-
-
-def _sweep_rows(params: ProxParams, zs_grid: np.ndarray) -> list[tuple[float, float]]:
-    rows = []
-    for z in zs_grid:
-        res = prox_scalar(params, float(z))
-        for v in res.values:  # both branches at the jump point
-            rows.append((float(z), float(v)))
-    return rows
 
 
 def cmd_sweep(args) -> int:
     params = _params(args)
-    grid = np.linspace(args.start, args.stop, args.points)
-    threads = _thread_cap()
-    if threads > 1:
-        chunks = np.array_split(grid, threads * 4)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: _sweep_rows(params, c), chunks))
-        rows = [r for part in parts for r in part]
-    else:
-        rows = _sweep_rows(params, grid)
-    if args.format == "json":
-        _emit_json(args, {
+    rows = []
+    for z in np.linspace(args.start, args.stop, args.points):
+        res = prox_scalar(params, float(z))
+        for v in res.values:  # both branches at the jump point
+            rows.append((float(z), float(v)))
+    _emit(
+        args,
+        lambda: [f"{_fmt6(z)} {_fmt6(v)}" for z, v in rows],
+        csv=lambda: ("z,value", rows),
+        payload=lambda: {
             "inputs": {"lambda": params.lam, "eps": params.eps,
                        "from": args.start, "to": args.stop, "points": args.points},
             "rows": [[z, v] for z, v in rows],
-        })
-    elif args.format == "text":
-        _emit(args, [f"{_fmt6(z)} {_fmt6(v)}" for z, v in rows])
-    else:
-        lines = ["z,value"]
-        lines += [f"{_fmt17(z)},{_fmt17(v)}" for z, v in rows]
-        _emit(args, lines)
+        },
+    )
     return 0
 
 
@@ -327,9 +303,12 @@ def cmd_matprox(args) -> int:
     z = matrix_io.read_matrix(args.infile, args.matfmt)
     res = prox_matrix(params, z)
     matrix_io.write_matrix(args.outfile, res.x_star, args.matfmt)
-    rank_in = int(np.linalg.matrix_rank(z))
+    # numpy.linalg.matrix_rank's default cutoff, on the singular values
+    # prox_matrix already computed
+    s = res.singular_values
+    rank_in = int(np.count_nonzero(s > s.max() * max(z.shape) * np.finfo(float).eps))
     rank_out = int(np.count_nonzero(res.d))
-    _emit(args, [
+    _emit(args, lambda: [
         f"wrote x_star ({z.shape[0]}x{z.shape[1]}) to {args.outfile}",
         "d: " + ",".join(_fmt6(v) for v in res.d),
         "ambiguous_indices: " + (",".join(str(i) for i in res.ambiguous_indices) or "none"),
@@ -345,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact proximity operator of the log-sum penalty, its jump point, "
                     "the reweighted-l1 iteration, and the singular-value matrix prox.",
     )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized demos (reserved; current commands are deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prox", help="componentwise prox of a scalar or vector input")
@@ -401,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", dest="matfmt", choices=("csv", "bin"), default="csv",
                    help="matrix file format for --in and --out")
     p.add_argument("--output", default=None, help="write the text summary to this file")
-    p.set_defaults(func=cmd_matprox)
+    p.set_defaults(func=cmd_matprox, format="text")
 
     return parser
 

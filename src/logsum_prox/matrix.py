@@ -58,17 +58,15 @@ def _validated_matrix(x) -> np.ndarray:
     return x
 
 
-def svd(x, tol: float = 1e-12) -> SvdFactorization:
+def svd(x) -> SvdFactorization:
     """Thin singular value decomposition of a real matrix.
 
     Backed by LAPACK through ``numpy.linalg.svd``, which is deterministic
-    for fixed input and converges to machine precision (any ``tol`` down to
-    ~1e-15 is met).  Raises ``ConvergenceError`` if the iterative
+    for fixed input and converges to machine precision, so there is no
+    tolerance to set.  Raises ``ConvergenceError`` if the iterative
     diagonalization inside LAPACK fails.
     """
     x = _validated_matrix(x)
-    if not (tol > 0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
     try:
         u, s, vt = np.linalg.svd(x, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -83,13 +81,15 @@ class MatrixProxResult:
     ``d`` holds the shrunk singular values (descending, zeros for every
     value below the scalar threshold); ``ambiguous_indices`` marks singular
     values that sat on the jump point, where the alternative branch
-    ``r2(z_star)`` is equally optimal.
+    ``r2(z_star)`` is equally optimal.  ``singular_values`` are those of the
+    input ``z`` that ``d`` was shrunk from.
     """
 
     x_star: np.ndarray
     d: np.ndarray
     ambiguous_indices: tuple[int, ...]
     objective_value: float
+    singular_values: np.ndarray
 
 
 def matrix_objective(params: ProxParams, x, z) -> float:
@@ -114,6 +114,7 @@ def prox_matrix(params: ProxParams, z) -> MatrixProxResult:
         d=d,
         ambiguous_indices=vec.ambiguous_indices,
         objective_value=objective,
+        singular_values=fac.singular_values,
     )
 
 

@@ -108,11 +108,13 @@ def oracle_prox_info(params: ProxParams, z: float, cfg: OracleConfig | None = No
     grid = np.append(np.linspace(lo, hi, cfg.grid_points), 0.0)
     q = _q_values(params, z, grid)
 
-    # candidate basins: interior grid local minima, the kink, both endpoints
+    # candidate basins: interior grid local minima, both endpoints and the
+    # kink appended at index n, keyed by point so that a grid point equal to
+    # 0.0 is seeded once; ranked by objective, then by |x|
+    n = cfg.grid_points
     interior = np.where((q[1:-1] <= q[:-2]) & (q[1:-1] <= q[2:]))[0] + 1
-    cand = {float(grid[i]) for i in interior} | {lo, hi, 0.0}
-    order = {float(x): (float(qv), abs(float(x))) for x, qv in zip(grid, q)}
-    seeds = sorted(cand, key=lambda c: order.get(c, (math.inf, abs(c))))[:6]
+    cand = {float(grid[i]): i for i in (*interior, 0, n - 1, n)}
+    seeds = sorted(cand, key=lambda x: (float(q[cand[x]]), abs(x)))[:6]
 
     span0 = hi - lo
     refined: list[float] = []

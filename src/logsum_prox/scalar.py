@@ -17,10 +17,10 @@ nonconvex regime, at exactly one magnitude ``z_star`` - the two-point set
 by bisection.
 
 All functions here are pure.  The ``z_star`` value used by
-:func:`prox_scalar` is memoized per ``(lam, eps)`` through a lock-guarded
-``lru_cache``; bisection is deterministic, so a rare duplicate computation
-under contention yields the identical value.  The module is safe for
-concurrent use.
+:func:`prox_scalar` is memoized per ``(lam, eps)`` in an ``lru_cache``
+without a lock of its own; bisection is deterministic, so two threads that
+miss the cache together compute the identical value.  The module is safe
+for concurrent use.
 """
 
 from __future__ import annotations
@@ -148,7 +148,12 @@ def q_objective(params: ProxParams, z: float, x: float) -> float:
 
 
 def _root_discriminant(params: ProxParams, z: float) -> float:
-    d = (z + params.eps) ** 2 / 4.0 - params.lam
+    try:
+        d = (z + params.eps) ** 2 / 4.0 - params.lam
+    except OverflowError:
+        raise DomainError(
+            f"z={z!r} is too large: (z + eps)**2 overflows a double"
+        ) from None
     if d < 0.0:
         if d >= -_DISC_CLAMP * max(1.0, params.lam):
             return 0.0

@@ -22,7 +22,6 @@ __all__ = [
     "logsum_penalty",
     "vector_objective",
     "prox_vector",
-    "prox_vector_sorted_check",
 ]
 
 
@@ -77,19 +76,3 @@ def prox_vector(params: ProxParams, z) -> VectorProxResult:
         ambiguous_indices=tuple(ambiguous),
         objective_value=vector_objective(params, canonical, z),
     )
-
-
-def prox_vector_sorted_check(params: ProxParams, z) -> bool:
-    """Order-preservation check for descending nonnegative input.
-
-    Returns whether the canonical output is again descending and
-    nonnegative.  This is guaranteed by the monotonicity of the scalar
-    operator and is exposed as a test hook for the singular-value reduction
-    in the matrix module.  Raises ``PreconditionError`` if ``z`` itself is
-    not descending nonnegative.
-    """
-    z = _validated_vector(z)
-    if np.any(z < 0) or np.any(np.diff(z) > 0):
-        raise PreconditionError("z must be sorted descending with nonnegative entries")
-    out = prox_vector(params, z).canonical
-    return bool(np.all(out >= 0) and np.all(np.diff(out) <= 0))

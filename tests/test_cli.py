@@ -8,6 +8,10 @@ import pytest
 
 from logsum_prox import (
     ProxParams,
+    failure_intervals,
+    irl1_predict_limit,
+    irl1_simulate,
+    limit_matches_prox,
     prox_matrix,
     prox_scalar,
     prox_vector,
@@ -200,15 +204,12 @@ class TestSweepCommand:
         for z, v in rows:
             assert abs(v - (z - 2.0 / (z + 3.0))) <= 0.01
 
-    def test_byte_determinism_and_thread_cap(self, capsys, monkeypatch):
+    def test_byte_determinism(self, capsys):
         args = ("sweep", "--lambda", "3", "--eps", "1",
                 "--from", "-4", "--to", "4", "--points", "513")
         _, base, _ = run(capsys, *args)
         _, again, _ = run(capsys, *args)
         assert base == again
-        monkeypatch.setenv("LOGSUM_PROX_THREADS", "3")
-        _, threaded, _ = run(capsys, *args)
-        assert threaded == base
 
 
 class TestMatproxCommand:
@@ -262,9 +263,21 @@ class TestPlumbing:
         doc = json.loads(dest.read_text())
         assert doc["z_star"] == z_star(P31).z_star
 
-    def test_global_seed_flag_accepted(self, capsys):
-        code, _, _ = run(capsys, "--seed", "7", "zstar", "--lambda", "3", "--eps", "1")
-        assert code == 0
+    def test_seed_flag_rejected(self, capsys):
+        code, out, _ = run(capsys, "--seed", "7", "zstar", "--lambda", "3", "--eps", "1")
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("prox", "--lambda", "3", "--eps", "1", "--z", "1e160"),
+        ("sweep", "--lambda", "3", "--eps", "1", "--from", "1e150", "--to", "1e160",
+         "--points", "3"),
+        ("irl1", "predict", "--lambda", "3", "--eps", "1", "--z", "1e160", "--x0", "1"),
+    ], ids=["prox", "sweep", "irl1-predict"])
+    def test_overflowing_input_exits_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "overflows" in err
 
     def test_help_exits_0(self, capsys):
         assert run(capsys, "--help")[0] == 0
@@ -278,3 +291,236 @@ class TestPlumbing:
         _, a, _ = run(capsys, *args)
         _, b, _ = run(capsys, *args)
         assert a == b
+
+
+# --- output contract: every command in every format against the library ---
+
+def g6(v):
+    return format(v, ".6g")
+
+
+def _csv(out):
+    header, *rows = out.rstrip("\n").split("\n")
+    return header, [row.split(",") for row in rows]
+
+
+def _check_prox(fmt, out):
+    zs_in = [2.5, 2.9, -2.9, ZS31]
+    lib = prox_vector(P31, zs_in)
+    amb = set(lib.ambiguous_indices)
+    assert amb == {3}
+    if fmt == "json":
+        assert json.loads(out) == {
+            "inputs": {"lambda": 3.0, "eps": 1.0, "z": zs_in},
+            "values": [float(v) for v in lib.canonical],
+            "regime": "nonconvex",
+            "z_star": ZS31,
+            "ambiguous_indices": [3],
+            "objective": lib.objective_value,
+        }
+    elif fmt == "csv":
+        header, rows = _csv(out)
+        assert header == "index,z,value,ambiguous"
+        assert [(int(i), float(z), float(v), a) for i, z, v, a in rows] == [
+            (i, z, float(v), "true" if i in amb else "false")
+            for i, (z, v) in enumerate(zip(zs_in, lib.canonical))
+        ]
+    else:
+        mark = "  (ambiguous: 0 and sgn(z)*r2(z_star) tie)"
+        assert out.splitlines() == [
+            "regime: nonconvex",
+            f"z_star: {g6(ZS31)}",
+            *[f"prox({g6(z)}) = {g6(float(v))}{mark if i in amb else ''}"
+              for i, (z, v) in enumerate(zip(zs_in, lib.canonical))],
+            f"objective: {g6(lib.objective_value)}",
+        ]
+
+
+def _check_zstar(fmt, out):
+    res = z_star(P31)
+    lo, hi = res.bracket
+    if fmt == "json":
+        assert json.loads(out) == {
+            "inputs": {"lambda": 3.0, "eps": 1.0},
+            "z_star": res.z_star,
+            "bracket": [lo, hi],
+            "iterations": res.iterations,
+            "residual": res.residual,
+        }
+    elif fmt == "csv":
+        header, rows = _csv(out)
+        assert header == "z_star,bracket_low,bracket_high,iterations,residual"
+        z, a, b, it, r = rows[0]
+        assert len(rows) == 1
+        assert (float(z), float(a), float(b), int(it), float(r)) == (
+            res.z_star, lo, hi, res.iterations, res.residual)
+    else:
+        assert out.splitlines() == [
+            f"z_star: {g6(res.z_star)}",
+            f"bracket: [{g6(lo)}, {g6(hi)}]",
+            f"iterations: {res.iterations}",
+            f"residual: {g6(res.residual)}",
+        ]
+
+
+def _check_simulate(fmt, out):
+    trace = irl1_simulate(P31, 2.5, 2.0, stop_tol=1e-12, max_iters=10**6)
+    if fmt == "json":
+        assert json.loads(out) == {
+            "inputs": {"lambda": 3.0, "eps": 1.0, "z": 2.5, "x0": 2.0},
+            "stop_reason": trace.stop_reason.value,
+            "iterations": len(trace.iterates) - 1,
+            "limit_estimate": trace.limit_estimate,
+            "iterates": list(trace.iterates),
+        }
+    elif fmt == "csv":
+        header, rows = _csv(out)
+        assert header == "iter,x"
+        assert [(int(k), float(x)) for k, x in rows] == list(enumerate(trace.iterates))
+    else:
+        assert out.splitlines() == [
+            f"iterations: {len(trace.iterates) - 1}",
+            f"stop_reason: {trace.stop_reason.value}",
+            f"limit_estimate: {g6(trace.limit_estimate)}",
+        ]
+
+
+def _check_predict(fmt, out):
+    pred = irl1_predict_limit(P31, 2.5, 2.0)
+    kind = pred.classification.value
+    if fmt == "json":
+        assert json.loads(out) == {"limit": pred.limit, "classification": kind,
+                                   "lemma": pred.justification}
+    elif fmt == "csv":
+        header, rows = _csv(out)
+        assert header == "limit,classification,lemma"
+        assert [(float(v), c, j) for v, c, j in rows] == [(pred.limit, kind, pred.justification)]
+    else:
+        assert out.splitlines() == [
+            f"limit: {g6(pred.limit)}",
+            f"classification: {kind}",
+            f"lemma: {pred.justification}",
+        ]
+
+
+def _failure_sweep(x0, a, b, n):
+    rows = []
+    for z in np.linspace(a, b, n):
+        z = float(z)
+        lim = irl1_predict_limit(P31, z, x0).limit
+        rows.append((z, lim, prox_scalar(P31, z).canonical, limit_matches_prox(P31, z, lim)))
+    return rows
+
+
+def _check_failures(fmt, out, x0, sweep):
+    rep = failure_intervals(P31, x0)
+    if fmt == "json":
+        assert json.loads(out) == {
+            "x0": x0,
+            "z_star": rep.z_star,
+            "case": rep.case.value,
+            "intervals": [{"lower": iv.lower, "upper": iv.upper,
+                           "lower_closed": iv.lower_closed, "upper_closed": iv.upper_closed}
+                          for iv in rep.intervals],
+            "sweep": [{"z": z, "irl1_limit": lim, "true_prox": tp, "agree": ag}
+                      for z, lim, tp, ag in sweep],
+        }
+    elif fmt == "csv" and sweep:
+        header, rows = _csv(out)
+        assert header == "z,irl1_limit,true_prox,agree"
+        assert [(float(z), float(lim), float(tp), ag) for z, lim, tp, ag in rows] == [
+            (z, lim, tp, "true" if ag else "false") for z, lim, tp, ag in sweep]
+        assert {row[3] for row in rows} == {"true", "false"}
+    elif fmt == "csv":
+        header, rows = _csv(out)
+        assert header == "lower,upper,lower_closed,upper_closed"
+        assert [(float(a), float(b), lc, uc) for a, b, lc, uc in rows] == [
+            (iv.lower, iv.upper, str(iv.lower_closed), str(iv.upper_closed))
+            for iv in rep.intervals]
+        assert {row[2] for row in rows} | {row[3] for row in rows} == {"True", "False"}
+    else:
+        assert rep.intervals
+        assert out.splitlines() == [
+            f"case: {rep.case.value}",
+            f"z_star: {g6(rep.z_star)}",
+            "failure intervals:",
+            *[f"  {iv}" for iv in rep.intervals],
+            *[f"z={g6(z)} irl1={g6(lim)} prox={g6(tp)} agree={'yes' if ag else 'no'}"
+              for z, lim, tp, ag in sweep],
+        ]
+
+
+def _check_failures_plain(fmt, out):
+    _check_failures(fmt, out, 0.1, [])
+
+
+def _check_failures_sweep(fmt, out):
+    _check_failures(fmt, out, 2.0, _failure_sweep(2.0, 2.3, 3.1, 9))
+
+
+def _check_sweep(fmt, out):
+    grid = np.linspace(ZS31, ZS31 + 1.0, 3)
+    rows = [(float(z), float(v)) for z in grid for v in prox_scalar(P31, float(z)).values]
+    assert len(rows) == 4  # both branches at the jump point
+    if fmt == "json":
+        assert json.loads(out) == {
+            "inputs": {"lambda": 3.0, "eps": 1.0, "from": ZS31, "to": ZS31 + 1.0, "points": 3},
+            "rows": [[z, v] for z, v in rows],
+        }
+    elif fmt == "csv":
+        header, got = _csv(out)
+        assert header == "z,value"
+        assert [(float(z), float(v)) for z, v in got] == rows
+    else:
+        assert out.splitlines() == [f"{g6(z)} {g6(v)}" for z, v in rows]
+
+
+_SWEEP_ARGS = ("--from", repr(ZS31), "--to", repr(ZS31 + 1.0), "--points", "3")
+_L31 = ("--lambda", "3", "--eps", "1")
+
+CONTRACT = {
+    "prox": (("prox", *_L31, "--z", f"2.5,2.9,-2.9,{ZS31!r}"), _check_prox),
+    "zstar": (("zstar", *_L31), _check_zstar),
+    "irl1-simulate": (("irl1", "simulate", *_L31, "--z", "2.5", "--x0", "2"), _check_simulate),
+    "irl1-predict": (("irl1", "predict", *_L31, "--z", "2.5", "--x0", "2"), _check_predict),
+    "irl1-failures": (("irl1", "failures", *_L31, "--x0", "0.1"), _check_failures_plain),
+    "irl1-failures-sweep": (("irl1", "failures", *_L31, "--x0", "2", "--sweep", "2.3:3.1:9"),
+                            _check_failures_sweep),
+    "sweep": (("sweep", *_L31, *_SWEEP_ARGS), _check_sweep),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("command", list(CONTRACT))
+def test_output_contract(capsys, command, fmt):
+    argv, check = CONTRACT[command]
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 0 and err == ""
+    check(fmt, out)
+
+
+@pytest.mark.parametrize("matfmt", ["csv", "bin"])
+def test_matprox_summary_contract(capsys, tmp_path, matfmt):
+    if matfmt == "csv":
+        z = np.diag([ZS31, 4.0, 1.0])  # one singular value on the jump point
+        write, read = write_matrix_csv, read_matrix_csv
+    else:
+        z = np.random.default_rng(3).standard_normal((5, 4)) * 3.0
+        write, read = write_matrix_bin, read_matrix_bin
+    src, dst = tmp_path / f"in.{matfmt}", tmp_path / f"out.{matfmt}"
+    write(src, z)
+    code, out, err = run(capsys, "matprox", *_L31, "--in", str(src), "--out", str(dst),
+                         "--format", matfmt)
+    assert code == 0 and err == ""
+    res = prox_matrix(P31, z)
+    amb = ",".join(str(i) for i in res.ambiguous_indices) or "none"
+    assert out.splitlines() == [
+        f"wrote x_star ({z.shape[0]}x{z.shape[1]}) to {dst}",
+        "d: " + ",".join(g6(float(v)) for v in res.d),
+        f"ambiguous_indices: {amb}",
+        f"objective_value: {g6(res.objective_value)}",
+        f"rank: {np.linalg.matrix_rank(z)} -> {np.count_nonzero(res.d)}",
+    ]
+    np.testing.assert_array_equal(read(dst), res.x_star)
+    if matfmt == "csv":
+        assert amb == "1"

@@ -1,7 +1,7 @@
 """Scalar operator: parameters, roots, tie gap, jump point, prox."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import pytest
@@ -210,9 +210,19 @@ class TestZStar:
     def test_memoized_value_is_race_free(self):
         p = ProxParams(5.77, 1.0)
         _z_star_cached.cache_clear()
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda _: prox_scalar(p, 4.0).canonical, range(64)))
-        assert len(set(results)) == 1
+        start = threading.Barrier(8)  # all threads miss the empty cache together
+        results = []
+
+        def worker():
+            start.wait()
+            results.extend(prox_scalar(p, 4.0).canonical for _ in range(8))
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(results) == 64 and len(set(results)) == 1
         # and the prox result equals a fresh single-threaded computation
         _z_star_cached.cache_clear()
         assert prox_scalar(p, 4.0).canonical == results[0]

@@ -10,7 +10,6 @@ from logsum_prox import (
     ProxParams,
     prox_scalar,
     prox_vector,
-    prox_vector_sorted_check,
     vector_objective,
     z_star,
 )
@@ -96,6 +95,18 @@ def test_ambiguous_components_reported():
                 res.objective_value, abs=1e-10
             )
     assert count == 2 ** len(res.ambiguous_indices)
+
+
+def prox_vector_sorted_check(params, z) -> bool:
+    """Whether the canonical prox of descending nonnegative ``z`` is again
+    descending and nonnegative, as the singular-value reduction of the
+    matrix prox needs.  Raises ``PreconditionError`` if ``z`` itself is not
+    descending nonnegative."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if np.any(z < 0) or np.any(np.diff(z) > 0):
+        raise PreconditionError("z must be sorted descending with nonnegative entries")
+    out = prox_vector(params, z).canonical
+    return bool(np.all(out >= 0) and np.all(np.diff(out) <= 0))
 
 
 class TestSortedCheck:
