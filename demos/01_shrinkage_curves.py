@@ -35,7 +35,7 @@ p = ProxParams(3.0, 1.0)
 zs = z_star(p)
 print(f"\n(lam, eps) = (3, 1): regime = {p.regime().value}")
 print(f"  jump point z_star = {zs.z_star:.12f}  (bracket {zs.bracket}, "
-      f"{zs.iterations} bisection steps)")
+      f"{zs.iterations} solver steps)")
 print(f"  jump height r2(z_star) = {r2(p, zs.z_star):.12f}")
 
 for z in (0.5, 2.0, 2.5, zs.z_star, 2.6, 2.9, 4.0):

@@ -4,7 +4,7 @@ In the nonconvex regime the objective has two competing local minimizers,
 0 and r2(z).  The tie gap  gap_r(z) = q(r2(z)) - q(0)  is positive at the
 left end of the bracket and negative at the right end; its unique root is
 where the global minimizer switches branches.  This script shows the sign
-change, the bisection result, and an independent brute-force confirmation.
+change, the solved jump point, and an independent brute-force confirmation.
 
 Run:  python3 demos/02_jump_point.py
 """
@@ -35,7 +35,7 @@ for z in np.linspace(lo, hi, 11):
     print(f"  z = {z:.4f}   gap = {g:+.6f}   {'zero' if g > 0 else 'r2'} branch wins")
 
 res = z_star(p)
-print(f"\nbisection: z_star = {res.z_star:.15f} "
+print(f"\nsolve:              z_star = {res.z_star:.15f} "
       f"({res.iterations} iterations, residual {res.residual:.2e})")
 
 # brute force cross-check: sweep the grid oracle until its minimizer jumps

@@ -1,8 +1,8 @@
 """Exact proximity operator of the log-sum penalty.
 
 Closed-form scalar/vector/matrix proximity operators of
-``sum_i log(1 + |x_i|/eps)``, the bisection locator of the jump point of
-the nonconvex-regime operator, a simulator and analytic limit map of the
+``sum_i log(1 + |x_i|/eps)``, the cached solve for the jump point of the
+nonconvex-regime operator, a simulator and analytic limit map of the
 iteratively reweighted l1 scheme (including its exact failure intervals),
 and an independent brute-force grid oracle used by the test suite.
 """

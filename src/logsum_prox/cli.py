@@ -159,7 +159,7 @@ def cmd_zstar(args) -> int:
     if params.regime() is Regime.CONVEX:
         sys.stderr.write("convex regime: no jump point\n")
         return 3
-    res = z_star(params, tol=args.tol, max_iter=args.max_iter)
+    res = z_star(params)
     lo, hi = res.bracket
     _emit(
         args,
@@ -332,11 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="input point(s), comma separated")
     p.set_defaults(func=cmd_prox)
 
-    p = sub.add_parser("zstar", help="locate the jump point by bisection")
+    p = sub.add_parser("zstar", help="locate the jump point by safeguarded Newton")
     _add_common(p)
-    p.add_argument("--tol", type=_positive_float, default=None,
-                   help="bracket-width tolerance (default 1e-13 of the bracket)")
-    p.add_argument("--max-iter", type=int, default=200)
     p.set_defaults(func=cmd_zstar)
 
     p = sub.add_parser("irl1", help="reweighted-l1 iteration tools")

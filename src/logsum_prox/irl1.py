@@ -211,7 +211,7 @@ def irl1_predict_limit(params: ProxParams, z: float, x0: float) -> LimitPredicti
     * ``conv5``: convex regime, ``0 < |z| < lam/eps``, ``x0 > 0``: limit 0.
     * ``conv6``: nonconvex critical band ``2*sqrt(lam)-eps <= |z| < lam/eps``:
       limit 0 if ``x0 < r1(|z|)``, the unstable fixed point ``r1(|z|)`` if
-      ``x0`` equals it (within ``1e-12 * max(1, r1)``), else ``r2(|z|)``.
+      ``x0`` equals it (within ``1e-12 * r1``), else ``r2(|z|)``.
     """
     x0 = _check_x0(x0)
     a = abs(z)
@@ -237,7 +237,7 @@ def irl1_predict_limit(params: ProxParams, z: float, x0: float) -> LimitPredicti
     if a < lo:
         return make(0.0, LimitKind.ZERO, "conv4")
     r1a = r1(params, a)
-    if abs(x0 - r1a) <= _R1_EQ_TOL * max(1.0, abs(r1a)):
+    if abs(x0 - r1a) <= _R1_EQ_TOL * abs(r1a):
         return make(r1a, LimitKind.R1_FIXED_POINT, "conv6")
     if x0 < r1a:
         return make(0.0, LimitKind.ZERO, "conv6")
@@ -270,7 +270,7 @@ def failure_intervals(params: ProxParams, x0: float) -> FailureReport:
 
     * ``x0 >= top``:            fails on +/- [2*sqrt(lam)-eps, z_star)
     * ``rs < x0 < top``:        fails on +/- [r1_inverse(x0), z_star)
-    * ``x0 == rs`` (within ``1e-12 * max(1, rs)``): fails exactly at +/- z_star
+    * ``x0 == rs`` (within ``1e-12 * rs``): fails exactly at +/- z_star
     * ``0 <= x0 < rs``:         fails on +/- (z_star, r1_inverse(x0)]
 
     The negative-side interval is the mirror image of the positive one.
@@ -278,13 +278,13 @@ def failure_intervals(params: ProxParams, x0: float) -> FailureReport:
     x0 = _check_x0(x0)
     if params.regime() is Regime.CONVEX:
         return FailureReport(x0=x0, z_star=None, intervals=(), case=FailureCase.EXACT)
-    zs = _z_star_cached(params.lam, params.eps)
+    zs = _z_star_cached(params.lam, params.eps).z_star
     rs = r1(params, zs)
     top = math.sqrt(params.lam) - params.eps
     if x0 >= top:
         pos = Interval(params.bracket_low, zs, True, False)
         case = FailureCase.HIGH_X0
-    elif abs(x0 - rs) <= _R1_EQ_TOL * max(1.0, rs):
+    elif abs(x0 - rs) <= _R1_EQ_TOL * rs:
         pos = Interval(zs, zs, True, True)
         case = FailureCase.KNIFE_EDGE_X0
     elif x0 > rs:

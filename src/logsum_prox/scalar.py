@@ -13,19 +13,30 @@ factors through the two roots of a quadratic,
 and the minimizer set is either {0}, {sgn(z)*r2(|z|)}, or - in the
 nonconvex regime, at exactly one magnitude ``z_star`` - the two-point set
 {0, sgn(z)*r2(z_star)}.  ``z_star`` is the unique root of the tie gap
-``gap_r(z) = q(r2(z)) - q(0)`` on [2*sqrt(lam)-eps, lam/eps] and is found
-by bisection.
+``gap_r(z) = q(r2(z)) - q(0)`` on [2*sqrt(lam)-eps, lam/eps].
 
-All functions here are pure.  The ``z_star`` value used by
-:func:`prox_scalar` is memoized per ``(lam, eps)`` in an ``lru_cache``
-without a lock of its own; bisection is deterministic, so two threads that
-miss the cache together compute the identical value.  The module is safe
-for concurrent use.
+The operator is scale covariant: with ``s = sqrt(lam)`` and ``c = eps/s``,
+``prox(lam, eps; z) = s*prox(1, c; z/s)``, so ``z_star = s*Z(c)`` is a
+function of one number.  :func:`z_star` solves for it in the coordinate
+``t = (eps + r2)/s``, where the tie gap becomes
+``g(t) = log(t) + log(1/c) - (t - c)^2/2 - 1 + c/t``, decreasing on
+``t > 1`` with exactly one root ``t*`` when ``c < 1``.  Then
+``z_star = s*(t* - c + 1/t*)``: no ``lam/eps`` is formed and no tolerance
+is involved, so the solve holds over the whole double range.
+
+All functions here are pure.  The ``z_star`` solve is memoized per
+``(lam, eps)`` in one bounded ``lru_cache`` that :func:`z_star`,
+:func:`prox_scalar` and ``irl1.failure_intervals`` all read, so a caller
+that asks for the jump point and then applies the prox solves once.  The
+cache has no lock of its own; the solve is deterministic, so two threads
+that miss the cache together compute the identical value.  The module is
+safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -46,12 +57,10 @@ __all__ = [
     "prox_scalar",
 ]
 
-# Discriminants in [-_DISC_CLAMP * max(1, lam), 0) are rounded up to zero so
-# that z sitting exactly on the float representation of 2*sqrt(lam) - eps
-# never fails.
+# Discriminants in [-_DISC_CLAMP * lam, 0) are rounded up to zero so that z
+# sitting exactly on the float representation of 2*sqrt(lam) - eps never
+# fails.
 _DISC_CLAMP = 1e-12
-
-DEFAULT_ZSTAR_MAX_ITER = 200
 
 
 class Regime(Enum):
@@ -127,13 +136,15 @@ class ProxResult:
 
 @dataclass(frozen=True)
 class ZStarResult:
-    """Outcome of the jump-point bisection.
+    """Outcome of the jump-point solve.
 
-    ``bracket`` is the a-priori root bracket ``(2*sqrt(lam)-eps, lam/eps)``;
-    ``residual`` is ``|gap_r|`` at the returned point.  Bisection stops once
-    the working bracket width or the residual falls below the tolerance, so
-    the recorded residual is guaranteed small only up to the slope of the
-    gap function (in practice it is far below the width tolerance).
+    ``z_star`` has a relative error of at most ``1e-14`` when
+    ``c = eps/sqrt(lam) <= 0.99`` and at most ``1e-11`` for ``c`` closer to
+    1, where the root of the tie gap turns double.  ``bracket`` is the
+    a-priori root bracket ``(2*sqrt(lam)-eps, lam/eps)`` in z-units (its
+    upper end is ``inf`` where ``lam/eps`` overflows).  ``iterations``
+    counts the evaluations of ``g`` (at most 64) and ``residual`` is
+    ``|g(t*)|`` at the returned point, which has no units.
     """
 
     z_star: float
@@ -155,7 +166,7 @@ def _root_discriminant(params: ProxParams, z: float) -> float:
             f"z={z!r} is too large: (z + eps)**2 overflows a double"
         ) from None
     if d < 0.0:
-        if d >= -_DISC_CLAMP * max(1.0, params.lam):
+        if d >= -_DISC_CLAMP * params.lam:
             return 0.0
         raise DomainError(
             f"z={z!r} lies below the root bracket: need z >= "
@@ -189,62 +200,73 @@ def gap_r(params: ProxParams, z: float) -> float:
             f"gap function needs sqrt(lam) > eps; got lam={params.lam}, eps={params.eps}"
         )
     lo, hi = params.bracket_low, params.threshold
-    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    slack = 1e-12 * hi  # hi >= lo > 0 in this regime
     if not (lo - slack <= z <= hi + slack):
         raise DomainError(f"z={z!r} outside the bracket [{lo!r}, {hi!r}]")
     return q_objective(params, z, r2(params, z)) - q_objective(params, z, 0.0)
 
 
-def z_star(
-    params: ProxParams,
-    tol: float | None = None,
-    max_iter: int = DEFAULT_ZSTAR_MAX_ITER,
-) -> ZStarResult:
-    """Locate the prox jump point by bisection on the sign of :func:`gap_r`.
+def z_star(params: ProxParams) -> ZStarResult:
+    """Locate the prox jump point; see :class:`ZStarResult` for its accuracy.
 
-    The default tolerance is ``1e-13`` of the bracket width, floored at a
-    few ulps of the bracket magnitude so the stop condition stays reachable
-    even when the bracket is far narrower than the root itself.  Bisection
-    reaches it in under 60 iterations.  The endpoint signs of ``gap_r`` are
-    pinned analytically (positive at ``2*sqrt(lam)-eps``, negative at
-    ``lam/eps``), so only midpoints are evaluated.
+    With ``s = sqrt(lam)``, ``c = eps/s`` and ``L = log(1/c)`` the root
+    ``t*`` of ``g(t) = log(t) + L - (t - c)^2/2 - 1 + c/t`` lies in
+    ``[1, 2 + sqrt(2*(L + 1))]``, where ``g`` decreases from ``g(1) > 0``.
+    Newton steps that leave the shrinking sign bracket are replaced by
+    bisection, and the solve stops once ``|g|`` is down to the rounding
+    error of its terms, a few ulps from the root.  The result is cached per
+    ``(lam, eps)``.
 
-    Raises ``RegimeError`` when ``sqrt(lam) <= eps`` and ``ConvergenceError``
-    if ``max_iter`` bisection steps do not meet the tolerance (or the
-    bracket hits float resolution first, possible only for a sub-ulp ``tol``).
+    Raises ``RegimeError`` when ``sqrt(lam) <= eps``.
     """
     if params.regime() is Regime.CONVEX:
         raise RegimeError(
             f"no jump point when sqrt(lam) <= eps; got lam={params.lam}, eps={params.eps}"
         )
-    lo, hi = params.bracket_low, params.threshold
-    if tol is None:
-        tol = max(1e-13 * (hi - lo), 4.0 * math.ulp(hi))
-    if not (tol > 0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    a, b = lo, hi
-    for it in range(1, max_iter + 1):
-        mid = 0.5 * (a + b)
-        if not (a < mid < b):
-            raise ConvergenceError(
-                f"bracket reached float resolution (width {b - a!r}) before tol={tol!r}"
-            )
-        resid = gap_r(params, mid)
-        if resid > 0.0:
-            a = mid
+    return _z_star_cached(params.lam, params.eps)
+
+
+@lru_cache(maxsize=1024)  # bounded: a miss costs one solve of a few microseconds
+def _z_star_cached(lam: float, eps: float) -> ZStarResult:
+    s = math.sqrt(lam)
+    c = eps / s
+    # L = log(1/c) from c itself, so that L and c agree to an ulp and the
+    # near-double root at c -> 1 keeps its accuracy; once c underflows, from
+    # the inputs' logs, where L > 708 swamps their rounding.
+    L = -math.log(c) if c >= sys.float_info.min else math.log(s) - math.log(eps)
+    lo, hi = 1.0, 2.0 + math.sqrt(2.0 * (L + 1.0))
+    if c > 0.5:
+        # t* = 1 + d/2 + 9*d**2/32 + O(d**3) near the double root at d = 1 - c = 0;
+        # the start stays above 1, where g' vanishes
+        d = 1.0 - c
+        t = 1.0 + max(0.5 * d * (1.0 + 0.5625 * d), 2.0**-52)
+    else:
+        t = c + math.sqrt(2.0 * L)  # leading term of t* = c + sqrt(2*(L - 1 + log t* + c/t*))
+    for it in range(1, 65):
+        u = t - c
+        log_t = math.log(t)
+        # g(t), with -1 + c/t written as -u/t so that no term cancels near c = 1
+        g = log_t + L - 0.5 * u * u - u / t
+        if abs(g) <= 4.0 * sys.float_info.epsilon * (log_t + L + 0.5 * u * u + u / t):
+            break
+        if g > 0.0:
+            lo = t
         else:
-            b = mid
-        if (b - a) <= tol or abs(resid) <= tol:
-            return ZStarResult(z_star=mid, bracket=(lo, hi), iterations=it, residual=abs(resid))
-    raise ConvergenceError(
-        f"bisection did not reach tol={tol!r} within {max_iter} iterations "
-        f"(bracket width {b - a!r})"
+            hi = t
+        t_next = t - g * t * t / (u * (1.0 - t * t))  # g' = u*(1 - t*t)/t**2 < 0
+        if not lo < t_next < hi:
+            t_next = 0.5 * (lo + hi)
+            if not lo < t_next < hi:  # the bracket is down to adjacent doubles
+                break
+        t = t_next
+    else:
+        raise ConvergenceError(f"jump-point solve did not settle in 64 steps (lam={lam!r}, eps={eps!r})")
+    return ZStarResult(
+        z_star=s * (u + 1.0 / t),
+        bracket=(2.0 * s - eps, lam / eps),
+        iterations=it,
+        residual=abs(g),
     )
-
-
-@lru_cache(maxsize=None)
-def _z_star_cached(lam: float, eps: float) -> float:
-    return z_star(ProxParams(lam, eps)).z_star
 
 
 def prox_scalar(params: ProxParams, z: float, pair_tol: float | None = None) -> ProxResult:
@@ -256,7 +278,7 @@ def prox_scalar(params: ProxParams, z: float, pair_tol: float | None = None) -> 
 
     Nonconvex regime: ``{0}`` for ``|z| < z_star``,
     ``{0, sgn(z) * r2(z_star)}`` for ``|z|`` within ``pair_tol`` of
-    ``z_star`` (default ``1e-12 * max(1, z_star)``), else
+    ``z_star`` (default ``1e-12 * z_star``), else
     ``{sgn(z) * r2(|z|)}``.
     """
     if z == 0.0:
@@ -267,8 +289,8 @@ def prox_scalar(params: ProxParams, z: float, pair_tol: float | None = None) -> 
         if a <= params.threshold:
             return ProxResult(ProxKind.ZERO, (0.0,))
         return ProxResult(ProxKind.POINT, (s * r2(params, a),))
-    zs = _z_star_cached(params.lam, params.eps)
-    tol = 1e-12 * max(1.0, zs) if pair_tol is None else pair_tol
+    zs = _z_star_cached(params.lam, params.eps).z_star
+    tol = 1e-12 * zs if pair_tol is None else pair_tol
     if abs(a - zs) <= tol:
         return ProxResult(ProxKind.PAIR, (0.0, s * r2(params, zs)))
     if a < zs:

@@ -82,6 +82,12 @@ class TestProxCommand:
         vals = [float(line.split(",")[2]) for line in lines[1:]]
         assert vals == [prox_scalar(P31, z).canonical for z in (2.5, 2.9, -2.9)]
 
+    def test_overflowing_threshold(self, capsys):
+        # lam/eps overflows to inf here; the prox of 1 is still 0
+        code, out, _ = run(capsys, "prox", "--lambda", "1e300", "--eps", "1e-10", "--z", "1")
+        assert code == 0
+        assert "prox(1) = 0\n" in out
+
     def test_usage_errors_exit_2(self, capsys):
         assert run(capsys, "prox", "--lambda", "2", "--eps", "3")[0] == 2  # missing --z
         code, _, err = run(capsys, "prox", "--lambda", "-1", "--eps", "3", "--z", "1")
@@ -117,11 +123,16 @@ class TestZStarCommand:
         assert doc["z_star"] == res.z_star
         assert doc["iterations"] == res.iterations
 
-    def test_convergence_failure_exit_4(self, capsys):
-        code, _, err = run(capsys, "zstar", "--lambda", "3", "--eps", "1",
-                           "--tol", "1e-30", "--max-iter", "3")
-        assert code == 4
-        assert "error:" in err
+    def test_solver_tolerance_is_not_an_option(self, capsys):
+        code, out, _ = run(capsys, "zstar", "--lambda", "3", "--eps", "1", "--tol", "1e-30")
+        assert code == 2 and out == ""
+
+    def test_wide_range_pair(self, capsys):
+        # lam/eps = 1e300: the solve never forms the a-priori bracket
+        code, out, _ = run(capsys, "zstar", "--lambda", "1e300", "--eps", "1", "--format", "json")
+        assert code == 0
+        # mpmath at 80 digits on the z-form tie gap
+        assert json.loads(out)["z_star"] == pytest.approx(2.640684263808308e151, rel=1e-14)
 
 
 class TestIrl1Command:

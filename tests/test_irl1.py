@@ -292,6 +292,13 @@ class TestFailureIntervals:
         assert pos.upper == pytest.approx(0.1 + 3.0 / 1.1, abs=1e-15)
         assert not pos.lower_closed and pos.upper_closed
 
+    def test_low_start_at_tiny_scale(self):
+        # r1(z_star) = 1.3e-26 here: an absolute knife-edge tolerance would swallow x0 = 0
+        p = ProxParams(1.6269779599083617e-50, 4.36226149196013e-45)
+        rep = failure_intervals(p, 0.0)
+        assert rep.case is FailureCase.LOW_X0
+        assert rep.intervals[1].lower == rep.z_star
+
     def test_intervals_inside_critical_band(self):
         for x0 in (0.0, 0.1, 0.5, 2.0, 10.0):
             report = failure_intervals(P31, x0)

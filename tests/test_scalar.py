@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from logsum_prox import (
-    ConvergenceError,
     DomainError,
     ProxKind,
     ProxParams,
     Regime,
     RegimeError,
+    failure_intervals,
     gap_r,
     prox_scalar,
     q_objective,
@@ -180,7 +181,7 @@ class TestZStar:
         lo, hi = res.bracket
         assert lo == P31.bracket_low and hi == 3.0
         assert lo < res.z_star < hi
-        assert res.iterations <= 200
+        assert res.iterations <= 64
         assert res.residual < 1e-10
 
     def test_deterministic(self):
@@ -203,9 +204,15 @@ class TestZStar:
         with pytest.raises(RegimeError):
             z_star(P23)
 
-    def test_convergence_error_on_absurd_budget(self):
-        with pytest.raises(ConvergenceError):
-            z_star(P31, tol=1e-30, max_iter=3)
+    def test_one_solve_per_pair(self):
+        p = ProxParams(7.3, 1.1)
+        _z_star_cached.cache_clear()
+        zs = z_star(p).z_star
+        prox_scalar(p, zs)
+        failure_intervals(p, 0.0)
+        info = _z_star_cached.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert info.maxsize is not None  # bounded
 
     def test_memoized_value_is_race_free(self):
         p = ProxParams(5.77, 1.0)
@@ -226,6 +233,76 @@ class TestZStar:
         # and the prox result equals a fresh single-threaded computation
         _z_star_cached.cache_clear()
         assert prox_scalar(p, 4.0).canonical == results[0]
+
+
+def mp_z_star(lam, eps, z0):
+    """Root of the z-form tie gap ``q(r2(z)) - q(0)`` in mpmath at 80 digits.
+
+    Bisection on a bracket of relative width 1e-6 about ``z0`` (cut at the
+    left end ``2*sqrt(lam) - eps`` of the gap's domain); fails if the gap
+    does not change sign on it, i.e. if ``z0`` is off by more than that.
+    """
+    with mp.workdps(80):
+        lam, eps = mpf(lam), mpf(eps)
+
+        def gap(z):
+            r2 = (z - eps) / 2 + mp.sqrt((z + eps) ** 2 / 4 - lam)
+            return ((r2 - z) ** 2 - z**2) / (2 * lam) + mp.log1p(r2 / eps)
+
+        a = max(mpf(z0) * (1 - mpf("1e-6")), 2 * mp.sqrt(lam) - eps)
+        b = mpf(z0) * (1 + mpf("1e-6"))
+        assert gap(a) > 0 > gap(b), "z0 is not within 1e-6 of the root"
+        while b - a > a * mpf("1e-40"):
+            m = (a + b) / 2
+            if gap(m) > 0:
+                a = m
+            else:
+                b = m
+        return (a + b) / 2
+
+
+def _rel_err(lam, eps):
+    res = z_star(ProxParams(lam, eps))
+    assert res.iterations <= 64
+    ref = mp_z_star(lam, eps, res.z_star)
+    return float(abs(res.z_star - ref) / ref)
+
+
+class TestZStarAccuracy:
+    """Relative error against mpmath over the whole double range."""
+
+    @pytest.mark.parametrize("lam,eps", [
+        (3.0, 1.0), (4.0, 1.0), (1e10, 1e-10), (1e-300, 1e-160), (1e4, 1e-3),
+        (1e300, 1e-10), (1e300, 1.0), (1e300, 1e-320),
+    ])
+    def test_landmark_pairs(self, lam, eps):
+        assert _rel_err(lam, eps) <= 1e-14
+
+    def test_log_uniform_pairs(self):
+        rng = np.random.default_rng(2021)
+        pairs = []
+        while len(pairs) < 200:
+            lam, eps = 10.0 ** rng.uniform(-300.0, 300.0, 2)
+            if math.sqrt(lam) > eps:
+                pairs.append((float(lam), float(eps)))
+        for lam, eps in pairs:
+            bound = 1e-14 if eps / math.sqrt(lam) <= 0.99 else 1e-11
+            assert _rel_err(lam, eps) <= bound, (lam, eps)
+
+    @pytest.mark.parametrize("c", [0.999, 1 - 1e-6, 1 - 1e-9])
+    def test_near_double_root(self, c):
+        # g(1) = g'(1) = 0 at c = 1; the root turns double as c -> 1
+        assert _rel_err(1.0, c) <= 1e-11
+
+    @given(st.floats(-300.0, 300.0), st.floats(-150.0, -1e-3))
+    @settings(max_examples=200, deadline=None)
+    def test_scale_covariance(self, log_lam, log_c):
+        lam = 10.0**log_lam
+        s = math.sqrt(lam)
+        eps = s * 10.0**log_c
+        c = eps / s
+        scaled = s * z_star(ProxParams(1.0, c)).z_star
+        assert abs(z_star(ProxParams(lam, eps)).z_star - scaled) <= 4 * math.ulp(scaled)
 
 
 class TestProxScalar:
@@ -271,6 +348,18 @@ class TestProxScalar:
         assert neg.kind is ProxKind.PAIR
         assert neg.values[1] == -res.values[1]
         assert res.canonical == 0.0 and res.is_ambiguous
+
+    def test_tiny_scale_is_not_a_pair(self):
+        # the twin of (1, 1e-10) at z = 1e10, scaled by sqrt(lam) = 1e-150
+        p = ProxParams(1e-300, 1e-160)
+        res = prox_scalar(p, 1e-140)
+        assert res.kind is ProxKind.POINT
+        twin = prox_scalar(ProxParams(1.0, 1e-10), 1e10)
+        assert res.values[0] == pytest.approx(1e-150 * twin.values[0], rel=1e-15)
+        p = ProxParams(1.6269779599083617e-50, 4.36226149196013e-45)  # z_star = 1.24e-24
+        zs = z_star(p).z_star
+        assert prox_scalar(p, zs * (1 + 1e-6)).kind is ProxKind.POINT
+        assert prox_scalar(p, zs).kind is ProxKind.PAIR
 
     def test_pair_tolerance_is_configurable(self):
         zs = z_star(P31).z_star
