@@ -15,9 +15,8 @@ from logsum_prox import (
     logdet_penalty,
     matrix_objective,
     prox_matrix,
-    read_matrix_csv,
-    write_matrix_csv,
 )
+from logsum_prox.matrix_io import read_matrix_csv, write_matrix_csv
 
 rng = np.random.default_rng(7)
 p = ProxParams(3.0, 1.0)

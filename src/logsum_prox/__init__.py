@@ -40,14 +40,7 @@ from .matrix import (
     prox_matrix,
     svd,
 )
-from .matrix_io import (
-    read_matrix,
-    read_matrix_bin,
-    read_matrix_csv,
-    write_matrix,
-    write_matrix_bin,
-    write_matrix_csv,
-)
+from .matrix_io import read_matrix, write_matrix
 from .oracle import OracleConfig, OracleProxInfo, oracle_prox, oracle_prox_info, oracle_z_star
 from .scalar import (
     ProxKind,
@@ -100,11 +93,7 @@ __all__ = [
     "prox_matrix",
     "svd",
     "read_matrix",
-    "read_matrix_bin",
-    "read_matrix_csv",
     "write_matrix",
-    "write_matrix_bin",
-    "write_matrix_csv",
     "OracleConfig",
     "OracleProxInfo",
     "oracle_prox",

@@ -5,8 +5,10 @@ Subcommands: ``prox``, ``zstar``, ``irl1 {simulate,predict,failures}``,
 printed numbers equal direct library calls exactly.
 
 Output formats: ``text`` (6 significant digits), ``csv`` and ``json``
-(17 significant digits / shortest round-trip form).  Every command hands
-:func:`_emit` one renderer per format and only the requested one runs.
+(17 significant digits / shortest round-trip form; JSON writes a
+non-finite value, such as an unbounded interval end, as ``null``).  Every
+command hands :func:`_emit` one renderer per format and only the requested
+one runs.
 Exit codes: 0 success, 2 usage or input-file error, 3 regime/domain error,
 4 convergence failure.
 """
@@ -82,15 +84,28 @@ def _cell(v) -> str:
     return format(float(v), ".17g") if isinstance(v, float) else str(v)
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float, at any depth, replaced by ``None``."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _emit(args, text, csv=None, payload=None) -> None:
     """Write the output in ``args.format`` to ``args.output`` or stdout.
 
     ``text`` returns the text lines, ``csv`` a ``(header, rows)`` pair and
     ``payload`` the JSON document; all three are zero-argument callables and
-    only the one for the requested format is called.
+    only the one for the requested format is called.  JSON is strict: a
+    non-finite float is written as ``null``.
     """
     if args.format == "json":
-        lines = [json.dumps(payload(), indent=2, sort_keys=True)]
+        doc = _finite_or_null(payload())
+        lines = [json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)]
     elif args.format == "csv":
         header, rows = csv()
         lines = [header, *(",".join(map(_cell, row)) for row in rows)]

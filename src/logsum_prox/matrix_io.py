@@ -1,7 +1,17 @@
 """Dense matrix file formats used by the command line tool.
 
 CSV: one matrix row per line, comma-separated, values printed with 17
-significant digits (round-trip safe).
+significant digits (round-trip safe).  One trailing blank line is
+allowed; any other blank line, a ragged row or a field ``float`` cannot
+read is a ``MatrixFormatError`` naming its line.
+
+Reading parses the decoded lines with ``numpy.loadtxt`` and keeps the
+result only when it has one row per line; on any failure, and on any
+blank line ``loadtxt`` would skip, the line-by-line parser runs instead.
+That parser is the only one that raises, so its messages and line numbers
+are the format's error contract, and both give bit-identical arrays on
+every input they both accept.  Writing formats each row with one format
+string of ``%.17g`` fields, the same bytes as ``format(v, ".17g")``.
 
 Binary: a 16-byte header of two little-endian unsigned 64-bit integers
 (rows, cols) followed by the row-major payload of little-endian 64-bit
@@ -31,12 +41,29 @@ _HEADER = struct.Struct("<QQ")
 
 def write_matrix_csv(path, x: np.ndarray) -> None:
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    lines = [",".join(format(v, ".17g") for v in row) for row in x]
+    row_fmt = ",".join(["%.17g"] * x.shape[1])
+    lines = [row_fmt % tuple(row) for row in x.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_matrix_csv(path) -> np.ndarray:
     lines = Path(path).read_text().splitlines()
+    # rows the file must hold: every line but one trailing blank one
+    n = len(lines) - (1 if lines and lines[-1].strip() == "" else 0)
+    # a blank first line is an error, and loadtxt would warn on an all-blank file
+    if n and lines[0].strip() != "":
+        try:
+            x = np.loadtxt(lines[:n], delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if x.shape[0] == n:  # loadtxt skips interior blank lines
+                return x
+    return _read_csv_lines_checked(lines)
+
+
+def _read_csv_lines_checked(lines: list[str]) -> np.ndarray:
+    """Parse CSV lines one by one, naming the first bad line in the error."""
     rows: list[list[float]] = []
     width = None
     for lineno, line in enumerate(lines, start=1):

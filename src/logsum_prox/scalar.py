@@ -158,26 +158,37 @@ def q_objective(params: ProxParams, z: float, x: float) -> float:
     return (x - z) ** 2 / (2.0 * params.lam) + math.log1p(abs(x) / params.eps)
 
 
-def _root_discriminant(params: ProxParams, z: float) -> float:
+def _root_radius(params: ProxParams, z: float) -> float:
+    """``sqrt((z + eps)^2/4 - lam)``, half the distance from ``r1(z)`` to ``r2(z)``."""
     try:
         d = (z + params.eps) ** 2 / 4.0 - params.lam
     except OverflowError:
-        raise DomainError(
-            f"z={z!r} is too large: (z + eps)**2 overflows a double"
-        ) from None
+        # take h = |z + eps|/2 out of the root: h*sqrt((1 - s/h)*(1 + s/h))
+        h = abs(0.5 * z + 0.5 * params.eps)
+        q = math.sqrt(params.lam) / h
+        w = (1.0 - q) * (1.0 + q)
+        if w >= 0.0:
+            return h * math.sqrt(w)
+        if w >= -_DISC_CLAMP * q * q:
+            return 0.0
+        raise _below_bracket(params, z) from None
     if d < 0.0:
         if d >= -_DISC_CLAMP * params.lam:
             return 0.0
-        raise DomainError(
-            f"z={z!r} lies below the root bracket: need z >= "
-            f"{max(params.bracket_low, 0.0)!r} for real stationary points"
-        )
-    return d
+        raise _below_bracket(params, z)
+    return math.sqrt(d)
+
+
+def _below_bracket(params: ProxParams, z: float) -> DomainError:
+    return DomainError(
+        f"z={z!r} lies below the root bracket: need z >= "
+        f"{max(params.bracket_low, 0.0)!r} for real stationary points"
+    )
 
 
 def r1(params: ProxParams, z: float) -> float:
     """Smaller root of ``x = z - lam/(eps + x)``; strictly decreasing in ``z``."""
-    return 0.5 * (z - params.eps) - math.sqrt(_root_discriminant(params, z))
+    return 0.5 * (z - params.eps) - _root_radius(params, z)
 
 
 def r2(params: ProxParams, z: float) -> float:
@@ -186,7 +197,7 @@ def r2(params: ProxParams, z: float) -> float:
     This is the candidate nonzero prox value.  ``r2(lam/eps)`` is ``0`` in
     the convex regime and ``lam/eps - eps`` in the nonconvex regime.
     """
-    return 0.5 * (z - params.eps) + math.sqrt(_root_discriminant(params, z))
+    return 0.5 * (z - params.eps) + _root_radius(params, z)
 
 
 def gap_r(params: ProxParams, z: float) -> float:

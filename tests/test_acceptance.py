@@ -31,11 +31,10 @@ from logsum_prox import (
     q_objective,
     r1,
     r2,
-    read_matrix_csv,
-    write_matrix_csv,
     z_star,
 )
 from logsum_prox.cli import main as cli_main
+from logsum_prox.matrix_io import read_matrix_csv, write_matrix_csv
 
 P31 = ProxParams(3.0, 1.0)
 ZS31 = z_star(P31).z_star

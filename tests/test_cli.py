@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from logsum_prox import (
     ProxParams,
@@ -15,13 +16,15 @@ from logsum_prox import (
     prox_matrix,
     prox_scalar,
     prox_vector,
+    z_star,
+)
+from logsum_prox.cli import main
+from logsum_prox.matrix_io import (
     read_matrix_bin,
     read_matrix_csv,
     write_matrix_bin,
     write_matrix_csv,
-    z_star,
 )
-from logsum_prox.cli import main
 
 P31 = ProxParams(3.0, 1.0)
 P23 = ProxParams(2.0, 3.0)
@@ -284,11 +287,52 @@ class TestPlumbing:
          "--points", "3"),
         ("irl1", "predict", "--lambda", "3", "--eps", "1", "--z", "1e160", "--x0", "1"),
     ], ids=["prox", "sweep", "irl1-predict"])
-    def test_overflowing_input_exits_3(self, capsys, argv):
+    def test_overflowing_input_is_finite(self, capsys, argv):
+        # (z + eps)**2 overflows a double here; r2(z) comes from the scaled root
         code, out, err = run(capsys, *argv)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: ") and "overflows" in err
+        assert code == 0 and err == ""
+        assert "1e+160" in out
+        assert "inf" not in out and "nan" not in out
+
+    def test_failures_with_a_jump_point_beyond_the_square_range(self, capsys):
+        # z_star = 4.58e155 here, where (z_star + eps)**2 overflows
+        p = ProxParams(1e308, 1e-300)
+        code, out, err = run(capsys, "irl1", "failures", "--lambda", "1e308", "--eps", "1e-300",
+                             "--x0", "0")
+        assert code == 0 and err == ""
+        assert out.splitlines()[:2] == ["case: low_x0", f"z_star: {g6(z_star(p).z_star)}"]
+
+    def test_prox_beyond_the_square_range(self, capsys):
+        p = ProxParams(1e308, 1e-300)
+        code, out, _ = run(capsys, "prox", "--lambda", "1e308", "--eps", "1e-300",
+                           "--z", "1e156", "--format", "json")
+        assert code == 0
+        value = json.loads(out)["values"][0]
+        assert value == prox_scalar(p, 1e156).canonical
+        with mp.workdps(60):
+            lam, eps, z = mpf(1e308), mpf(1e-300), mpf(1e156)
+            expected = (z - eps) / 2 + mp.sqrt((z + eps) ** 2 / 4 - lam)
+            assert abs(value - expected) <= 1e-14 * expected
+
+    @pytest.mark.parametrize("argv, nulls", [
+        (("zstar", "--lambda", "1e300", "--eps", "1e-10"), [("bracket", 1)]),
+        (("irl1", "failures", "--lambda", "1e300", "--eps", "1e-10", "--x0", "0"),
+         [("intervals", 0, "lower"), ("intervals", 1, "upper")]),
+    ], ids=["zstar", "irl1-failures"])
+    def test_json_is_strict(self, capsys, argv, nulls):
+        # the bracket end lam/eps and the outer interval ends are infinite here;
+        # JSON has no Infinity, so they print as null
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(out, parse_constant=reject)
+        for path in nulls:
+            node = doc
+            for key in path:
+                node = node[key]
+            assert node is None
 
     def test_help_exits_0(self, capsys):
         assert run(capsys, "--help")[0] == 0

@@ -124,6 +124,30 @@ class TestRoots:
         with pytest.raises(DomainError):
             r2(P31, 0.0)
 
+    @pytest.mark.parametrize("lam, eps, z", [
+        (1e308, 1e-300, 1e156),
+        (1e308, 1e-300, 4.58082494322124e155),  # near z_star there
+        (1e308, 1e-300, 1.7e308),
+        (3.0, 1.0, 1e160),
+        (1e300, 1.0, 3e154),
+        (1e308, 1e-300, 2.0 * math.sqrt(1e308) * (1 + 1e-3)),  # inside the bracket edge
+    ])
+    def test_roots_where_the_square_overflows(self, lam, eps, z):
+        # (z + eps)**2 overflows a double; the scaled root keeps r1 and r2 accurate
+        p = ProxParams(lam, eps)
+        with mp.workdps(60):
+            c = (mpf(z) - eps) / 2
+            radius = mp.sqrt((mpf(z) + eps) ** 2 / 4 - lam)
+            assert abs(r2(p, z) - (c + radius)) <= 1e-14 * (c + radius)
+            assert abs(r1(p, z) - (c - radius)) <= 1e-14 * (c + radius)
+
+    def test_overflowing_square_below_bracket(self):
+        p = ProxParams(1e308, 1e-300)
+        edge = 2.0 * math.sqrt(1e308)  # (edge + eps)**2 overflows
+        assert r2(p, edge) == r1(p, edge) == pytest.approx(math.sqrt(1e308), rel=1e-15)
+        with pytest.raises(DomainError, match="below the root bracket"):
+            r2(p, 0.75 * edge)
+
     def test_monotone_on_domain(self):
         zs = np.linspace(P31.bracket_low, 12.0, 400)
         r1s = [r1(P31, z) for z in zs]

@@ -1,0 +1,138 @@
+"""Run a fixed list of ``logsum-prox`` invocations and record what each one prints and writes.
+
+Usage:
+
+    python3 tools/cli_bytecheck.py OUTDIR
+
+Every invocation runs as ``python -m logsum_prox.cli`` with the ``src``
+directory of the tree this script sits in on ``PYTHONPATH``, with
+``OUTDIR`` as its working directory and relative file names, so the
+``wrote x_star ... to <path>`` lines of two trees compare equal.  The input
+matrices are generated deterministically with numpy alone, never with the
+library under test.  To compare two trees:
+
+    python3 tools/cli_bytecheck.py /tmp/a
+    python3 /path/to/other/tree/tools/cli_bytecheck.py /tmp/b
+    diff -r /tmp/a /tmp/b
+
+``OUTDIR/NNN`` records invocation ``NNN``: its arguments, exit code and
+stdout; ``OUTDIR/out`` holds every file the invocations wrote.  Stderr is
+not recorded, since warnings and tracebacks name the tree's own paths.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+FORMATS = ("text", "csv", "json")
+ZS31 = "2.5710831932251654"  # z_star(3, 1), as printed by zstar --format json
+
+
+def _matrices() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(20211)
+    low_rank = rng.standard_normal((40, 3)) @ (rng.standard_normal((3, 30)) * 4.0)
+    return {
+        "lowrank_40x30": low_rank + 0.05 * rng.standard_normal((40, 30)),
+        "diag_5_01": np.diag([5.0, 0.1]),
+        "zero_2x3": np.zeros((2, 3)),
+        "random_3x4": rng.standard_normal((3, 4)) * 3.0,
+        "diag_zstar": np.diag([float(ZS31), 4.0, 1.0]),
+        "neg_1x1": np.array([[-7.25]]),
+        "neg_diag": np.diag([-6.0, -3.0, 0.5]),
+    }
+
+
+def _write_inputs(outdir: Path) -> list[str]:
+    (outdir / "in").mkdir()
+    matrices = _matrices()
+    for name, x in matrices.items():
+        np.savetxt(outdir / "in" / f"{name}.csv", x, fmt="%.17g", delimiter=",")
+        with open(outdir / "in" / f"{name}.bin", "wb") as fh:
+            fh.write(np.array(x.shape, dtype="<u8").tobytes())
+            fh.write(np.ascontiguousarray(x, dtype="<f8").tobytes())
+    (outdir / "in" / "bad.csv").write_text("1,2\n3,oops\n")
+    (outdir / "in" / "ragged.csv").write_text("1,2,3\n4,5\n")
+    (outdir / "in" / "blank.csv").write_text("1,2\n\n3,4\n")
+    return list(matrices)
+
+
+def _invocations(matrices: list[str]) -> list[list[str]]:
+    cases: list[list[str]] = []
+
+    def each_format(*argv: str) -> None:
+        for fmt in FORMATS:
+            cases.append([*argv, "--format", fmt])
+
+    p31 = ("--lambda", "3", "--eps", "1")
+    p23 = ("--lambda", "2", "--eps", "3")
+    each_format("prox", *p31, "--z", f"2.9,0.5,-2.9,{ZS31},-{ZS31},0")
+    each_format("prox", *p23, "--z", "5,0.5,-5,0.6666666666666666")
+    for lam, eps in (("3", "1"), ("4", "1"), ("1e10", "1e-10"), ("2", "3")):
+        each_format("zstar", "--lambda", lam, "--eps", eps)
+    each_format("irl1", "simulate", *p31, "--z", "2.5", "--x0", "2")
+    each_format("irl1", "simulate", *p31, "--z", "2.9", "--x0", "0.1")
+    for z, x0 in (("2.5", "2"), ("2.9", "0.1"), ("2.0", "1")):
+        each_format("irl1", "predict", *p31, "--z", z, "--x0", x0)
+    for params, x0 in ((p31, "0.1"), (p31, "2"), (p31, "9"), (p23, "1")):
+        each_format("irl1", "failures", *params, "--x0", x0)
+        each_format("irl1", "failures", *params, "--x0", x0, "--sweep", "2.3:3.1:17")
+    each_format("sweep", *p31, "--from", "-6", "--to", "6", "--points", "25")
+    each_format("sweep", *p23, "--from", "-3", "--to", "3", "--points", "13")
+    each_format("sweep", *p31, "--from", "2", "--to", ZS31, "--points", "5")
+    for fmt in FORMATS:
+        cases.append(["zstar", *p31, "--format", fmt, "--output", f"out/zstar.{fmt}"])
+        cases.append(["sweep", *p31, "--from", "-3", "--to", "3", "--points", "7",
+                      "--format", fmt, "--output", f"out/sweep.{fmt}"])
+    # where (z + eps)**2 overflows a double, and where lam/eps overflows
+    each_format("prox", *p31, "--z", "1e160")
+    each_format("sweep", *p31, "--from", "1e150", "--to", "1e160", "--points", "3")
+    each_format("irl1", "predict", *p31, "--z", "1e160", "--x0", "1")
+    each_format("irl1", "failures", "--lambda", "1e308", "--eps", "1e-300", "--x0", "0")
+    each_format("prox", "--lambda", "1e308", "--eps", "1e-300", "--z", "1e156")
+    each_format("zstar", "--lambda", "1e300", "--eps", "1e-10")
+    each_format("irl1", "failures", "--lambda", "1e300", "--eps", "1e-10", "--x0", "0")
+    for name in matrices:
+        for mfmt in ("csv", "bin"):
+            for tag, params in (("31", p31), ("23", p23)):
+                cases.append(["matprox", *params, "--in", f"in/{name}.{mfmt}",
+                              "--out", f"out/{name}_{tag}.{mfmt}", "--format", mfmt])
+            cases.append(["matprox", *p31, "--in", f"in/{name}.{mfmt}",
+                          "--out", f"out/{name}_o.{mfmt}", "--format", mfmt,
+                          "--output", f"out/{name}_summary_{mfmt}.txt"])
+    for bad in ("bad", "ragged", "blank"):
+        cases.append(["matprox", *p31, "--in", f"in/{bad}.csv", "--out", f"out/{bad}_x.csv"])
+    cases.append(["prox", "--lambda", "3", "--eps", "1"])
+    cases.append(["prox", "--lambda", "-1", "--eps", "1", "--z", "1"])
+    cases.append(["frobnicate"])
+    cases.append(["--help"])
+    return cases
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        sys.stderr.write(__doc__)
+        return 2
+    outdir = Path(argv[0]).resolve()
+    outdir.mkdir(parents=True, exist_ok=False)
+    (outdir / "out").mkdir()
+    matrices = _write_inputs(outdir)
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    cases = _invocations(matrices)
+    for i, case in enumerate(cases):
+        proc = subprocess.run([sys.executable, "-m", "logsum_prox.cli", *case], cwd=outdir, env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        record = "\n".join(case) + f"\n--- exit {proc.returncode}\n"
+        (outdir / f"{i:03d}").write_bytes(record.encode() + proc.stdout)
+    print(f"{len(cases)} invocations recorded in {outdir}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
