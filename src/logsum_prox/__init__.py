@@ -16,8 +16,6 @@ from .errors import (
     RegimeError,
 )
 from .irl1 import (
-    DEFAULT_MAX_ITERS,
-    DEFAULT_STOP_TOL,
     FailureCase,
     FailureReport,
     Interval,
@@ -34,7 +32,6 @@ from .irl1 import (
 )
 from .matrix import (
     MatrixProxResult,
-    SvdFactorization,
     logdet_penalty,
     matrix_objective,
     prox_matrix,
@@ -71,8 +68,6 @@ __all__ = [
     "MatrixFormatError",
     "PreconditionError",
     "RegimeError",
-    "DEFAULT_MAX_ITERS",
-    "DEFAULT_STOP_TOL",
     "FailureCase",
     "FailureReport",
     "Interval",
@@ -87,7 +82,6 @@ __all__ = [
     "limit_matches_prox",
     "r1_inverse",
     "MatrixProxResult",
-    "SvdFactorization",
     "logdet_penalty",
     "matrix_objective",
     "prox_matrix",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, PreconditionError, RegimeError
-from .scalar import ProxParams, Regime, _z_star_cached, prox_scalar, r1, r2
+from .scalar import ProxParams, Regime, _roots, _z_star_cached, prox_scalar, r1, r2
 
 __all__ = [
     "StopReason",
@@ -216,32 +216,27 @@ def irl1_predict_limit(params: ProxParams, z: float, x0: float) -> LimitPredicti
     x0 = _check_x0(x0)
     a = abs(z)
     s = 1.0 if z >= 0 else -1.0
-
-    def make(limit_mag: float, kind: LimitKind, tag: str) -> LimitPrediction:
-        return LimitPrediction(limit=s * limit_mag, classification=kind, justification=tag)
-
+    # every limit is s*magnitude, so a zero limit at negative z is -0.0
     if a == 0.0:
-        return make(0.0, LimitKind.ZERO, "conv2")
+        return LimitPrediction(s * 0.0, LimitKind.ZERO, "conv2")
     if x0 == 0.0:
         if a <= params.threshold:
-            return make(0.0, LimitKind.ZERO, "conv2")
-        return make(r2(params, a), LimitKind.R2, "conv2")
+            return LimitPrediction(s * 0.0, LimitKind.ZERO, "conv2")
+        return LimitPrediction(s * r2(params, a), LimitKind.R2, "conv2")
     if a >= params.threshold:
         lim = r2(params, a)
-        kind = LimitKind.R2 if lim > 0 else LimitKind.ZERO
-        return make(lim, kind, "conv3")
+        return LimitPrediction(s * lim, LimitKind.R2 if lim > 0 else LimitKind.ZERO, "conv3")
     lo = params.bracket_low
     if params.regime() is Regime.CONVEX:
-        tag = "conv4" if (lo > 0 and a < lo) else "conv5"
-        return make(0.0, LimitKind.ZERO, tag)
+        return LimitPrediction(s * 0.0, LimitKind.ZERO, "conv4" if (lo > 0 and a < lo) else "conv5")
     if a < lo:
-        return make(0.0, LimitKind.ZERO, "conv4")
-    r1a = r1(params, a)
+        return LimitPrediction(s * 0.0, LimitKind.ZERO, "conv4")
+    r1a, r2a = _roots(params, a)
     if abs(x0 - r1a) <= _R1_EQ_TOL * abs(r1a):
-        return make(r1a, LimitKind.R1_FIXED_POINT, "conv6")
+        return LimitPrediction(s * r1a, LimitKind.R1_FIXED_POINT, "conv6")
     if x0 < r1a:
-        return make(0.0, LimitKind.ZERO, "conv6")
-    return make(r2(params, a), LimitKind.R2, "conv6")
+        return LimitPrediction(s * 0.0, LimitKind.ZERO, "conv6")
+    return LimitPrediction(s * r2a, LimitKind.R2, "conv6")
 
 
 def r1_inverse(params: ProxParams, x0: float) -> float:
@@ -254,11 +249,15 @@ def r1_inverse(params: ProxParams, x0: float) -> float:
     """
     if params.regime() is Regime.CONVEX:
         raise RegimeError("r1 is invertible on the critical band only when sqrt(lam) > eps")
-    hi = math.sqrt(params.lam) - params.eps
+    hi = params.r1_max
     if x0 > hi:
         raise DomainError(f"x0={x0!r} exceeds the maximum of r1, sqrt(lam)-eps={hi!r}")
     if x0 <= -params.eps:
         raise DomainError(f"x0={x0!r} is below the infimum of r1, -eps={-params.eps!r}")
+    return _r1_inverse(params, x0)
+
+
+def _r1_inverse(params: ProxParams, x0: float) -> float:
     return x0 + params.lam / (params.eps + x0)
 
 
@@ -280,18 +279,18 @@ def failure_intervals(params: ProxParams, x0: float) -> FailureReport:
         return FailureReport(x0=x0, z_star=None, intervals=(), case=FailureCase.EXACT)
     zs = _z_star_cached(params.lam, params.eps).z_star
     rs = r1(params, zs)
-    top = math.sqrt(params.lam) - params.eps
-    if x0 >= top:
+    # rs < x0 < top and 0 <= x0 < rs both lie inside r1_inverse's domain
+    if x0 >= params.r1_max:
         pos = Interval(params.bracket_low, zs, True, False)
         case = FailureCase.HIGH_X0
     elif abs(x0 - rs) <= _R1_EQ_TOL * rs:
         pos = Interval(zs, zs, True, True)
         case = FailureCase.KNIFE_EDGE_X0
     elif x0 > rs:
-        pos = Interval(r1_inverse(params, x0), zs, True, False)
+        pos = Interval(_r1_inverse(params, x0), zs, True, False)
         case = FailureCase.MID_X0
     else:
-        pos = Interval(zs, r1_inverse(params, x0), False, True)
+        pos = Interval(zs, _r1_inverse(params, x0), False, True)
         case = FailureCase.LOW_X0
     return FailureReport(x0=x0, z_star=zs, intervals=(pos.mirrored(), pos), case=case)
 

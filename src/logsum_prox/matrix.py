@@ -67,12 +67,15 @@ def svd(x) -> SvdFactorization:
     tolerance to set.  Raises ``ConvergenceError`` if the iterative
     diagonalization inside LAPACK fails.
     """
-    x = _validated_matrix(x)
+    u, s, vt = _lapack_svd(_validated_matrix(x), full_matrices=False)
+    return SvdFactorization(u=u, singular_values=s, v=vt.T)
+
+
+def _lapack_svd(x: np.ndarray, **options):
     try:
-        u, s, vt = np.linalg.svd(x, full_matrices=False)
+        return np.linalg.svd(x, **options)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge for shape {x.shape}: {exc}") from exc
-    return SvdFactorization(u=u, singular_values=s, v=vt.T)
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,7 @@ def logdet_penalty(params: ProxParams, x) -> float:
     """``sum_i log(1 + sigma_i(x)/eps)``.
 
     Equals ``log det(I + (x x^T)^{1/2}/eps)`` for wide-or-square ``x``
-    (``m <= n``) and the transposed form otherwise.
+    (``m <= n``) and the transposed form otherwise.  Only the singular
+    values are computed, not the singular vectors.
     """
-    fac = svd(x)
-    return float(np.sum(np.log1p(fac.singular_values / params.eps)))
+    return logsum_penalty(params, _lapack_svd(_validated_matrix(x), compute_uv=False))

@@ -78,6 +78,15 @@ class ProxParams:
     ``g(w) = log(1 + |w|/eps)``.  The boundary ``sqrt(lam) == eps`` is
     classified as convex; both regime branches give the same operator there
     because ``r2(lam/eps) == 0``.
+
+    Three constants of the pair are attributes, not fields:
+
+    * ``threshold = lam/eps``: the zero/nonzero threshold of the
+      convex-regime prox;
+    * ``bracket_low = 2*sqrt(lam) - eps``: below this ``|z|`` the
+      stationarity equation has no real roots;
+    * ``r1_max = sqrt(lam) - eps``: the largest value of ``r1`` on the
+      bracket, taken at ``bracket_low``.
     """
 
     lam: float
@@ -88,21 +97,20 @@ class ProxParams:
             raise ValueError(f"lam must be a positive finite real, got {self.lam!r}")
         if not (isinstance(self.eps, (int, float)) and math.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be a positive finite real, got {self.eps!r}")
-        object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "eps", float(self.eps))
+        lam, eps = float(self.lam), float(self.eps)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "eps", eps)
+        # Constants of the pair, derived once: every call on it reads them.
+        # Plain attributes, not fields, so repr, ==, hash and fields() see
+        # (lam, eps) only; dataclasses.replace re-runs this method.
+        s = math.sqrt(lam)
+        object.__setattr__(self, "_regime", Regime.CONVEX if s <= eps else Regime.NONCONVEX)
+        object.__setattr__(self, "threshold", lam / eps)
+        object.__setattr__(self, "bracket_low", 2.0 * s - eps)
+        object.__setattr__(self, "r1_max", s - eps)
 
     def regime(self) -> Regime:
-        return Regime.CONVEX if math.sqrt(self.lam) <= self.eps else Regime.NONCONVEX
-
-    @property
-    def threshold(self) -> float:
-        """``lam / eps``: the zero/nonzero threshold of the convex-regime prox."""
-        return self.lam / self.eps
-
-    @property
-    def bracket_low(self) -> float:
-        """``2*sqrt(lam) - eps``: below this |z| the stationarity equation has no real roots."""
-        return 2.0 * math.sqrt(self.lam) - self.eps
+        return self._regime
 
 
 class ProxKind(Enum):
@@ -155,15 +163,28 @@ class ZStarResult:
 
 def q_objective(params: ProxParams, z: float, x: float) -> float:
     """Value of ``(x - z)^2 / (2*lam) + log(1 + |x|/eps)``."""
-    return (x - z) ** 2 / (2.0 * params.lam) + math.log1p(abs(x) / params.eps)
+    d = x - z
+    # halved after the division (exact above the subnormal range), so 2*lam cannot overflow
+    quad = d * d / params.lam
+    if quad == math.inf:  # d*d overflowed, which the quotient need not
+        quad = abs(d) / params.lam * abs(d)
+    a = abs(x)
+    u = a / params.eps
+    if u == math.inf:  # a/eps overflowed, so eps < 1 and eps + a cannot
+        return 0.5 * quad + (math.log(params.eps + a) - math.log(params.eps))
+    return 0.5 * quad + math.log1p(u)
 
 
 def _root_radius(params: ProxParams, z: float) -> float:
-    """``sqrt((z + eps)^2/4 - lam)``, half the distance from ``r1(z)`` to ``r2(z)``."""
-    try:
-        d = (z + params.eps) ** 2 / 4.0 - params.lam
-    except OverflowError:
-        # take h = |z + eps|/2 out of the root: h*sqrt((1 - s/h)*(1 + s/h))
+    """``sqrt((z + eps)^2/4 - lam)``, half the distance from ``r1(z)`` to ``r2(z)``.
+
+    The square is a product, never ``**``: CPython's ``**`` calls the C
+    library's ``pow``, which can round differently from numpy's squaring.
+    """
+    t = z + params.eps
+    d = t * t / 4.0 - params.lam
+    if d == math.inf:
+        # t*t overflowed: take h = |z + eps|/2 out of the root, h*sqrt((1 - s/h)*(1 + s/h))
         h = abs(0.5 * z + 0.5 * params.eps)
         q = math.sqrt(params.lam) / h
         w = (1.0 - q) * (1.0 + q)
@@ -171,7 +192,7 @@ def _root_radius(params: ProxParams, z: float) -> float:
             return h * math.sqrt(w)
         if w >= -_DISC_CLAMP * q * q:
             return 0.0
-        raise _below_bracket(params, z) from None
+        raise _below_bracket(params, z)
     if d < 0.0:
         if d >= -_DISC_CLAMP * params.lam:
             return 0.0
@@ -186,9 +207,16 @@ def _below_bracket(params: ProxParams, z: float) -> DomainError:
     )
 
 
+def _roots(params: ProxParams, z: float) -> tuple[float, float]:
+    """``(r1(z), r2(z))``, both from one root radius."""
+    half = 0.5 * (z - params.eps)
+    rad = _root_radius(params, z)
+    return half - rad, half + rad
+
+
 def r1(params: ProxParams, z: float) -> float:
     """Smaller root of ``x = z - lam/(eps + x)``; strictly decreasing in ``z``."""
-    return 0.5 * (z - params.eps) - _root_radius(params, z)
+    return _roots(params, z)[0]
 
 
 def r2(params: ProxParams, z: float) -> float:
@@ -197,6 +225,7 @@ def r2(params: ProxParams, z: float) -> float:
     This is the candidate nonzero prox value.  ``r2(lam/eps)`` is ``0`` in
     the convex regime and ``lam/eps - eps`` in the nonconvex regime.
     """
+    # _roots(params, z)[1], spelled out: prox_scalar calls r2 once per element
     return 0.5 * (z - params.eps) + _root_radius(params, z)
 
 
@@ -206,7 +235,7 @@ def gap_r(params: ProxParams, z: float) -> float:
     Defined for the nonconvex regime on ``[2*sqrt(lam)-eps, lam/eps]``;
     positive at the left endpoint and negative at the right one.
     """
-    if params.regime() is Regime.CONVEX:
+    if params._regime is Regime.CONVEX:
         raise RegimeError(
             f"gap function needs sqrt(lam) > eps; got lam={params.lam}, eps={params.eps}"
         )
@@ -230,7 +259,7 @@ def z_star(params: ProxParams) -> ZStarResult:
 
     Raises ``RegimeError`` when ``sqrt(lam) <= eps``.
     """
-    if params.regime() is Regime.CONVEX:
+    if params._regime is Regime.CONVEX:
         raise RegimeError(
             f"no jump point when sqrt(lam) <= eps; got lam={params.lam}, eps={params.eps}"
         )
@@ -296,7 +325,7 @@ def prox_scalar(params: ProxParams, z: float, pair_tol: float | None = None) -> 
         return ProxResult(ProxKind.ZERO, (0.0,))
     a = abs(z)
     s = 1.0 if z > 0 else -1.0
-    if params.regime() is Regime.CONVEX:
+    if params._regime is Regime.CONVEX:
         if a <= params.threshold:
             return ProxResult(ProxKind.ZERO, (0.0,))
         return ProxResult(ProxKind.POINT, (s * r2(params, a),))

@@ -10,6 +10,7 @@ where the scalar operator is two-valued.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,17 +40,39 @@ class VectorProxResult:
     objective_value: float
 
 
+@np.errstate(over="ignore")  # an overflowing |x_i|/eps is replaced, not reported
 def logsum_penalty(params: ProxParams, x: np.ndarray) -> float:
-    """``sum_i log(1 + |x_i|/eps)``."""
-    x = np.asarray(x, dtype=float)
-    return float(np.sum(np.log1p(np.abs(x) / params.eps)))
+    """``sum_i log(1 + |x_i|/eps)``, finite wherever ``x`` is."""
+    return _logsum_penalty(params, np.asarray(x, dtype=float))
+
+
+def _logsum_penalty(params: ProxParams, x: np.ndarray) -> float:
+    """``logsum_penalty`` of a float array; the caller ignores overflow in ``np.errstate``."""
+    a = np.abs(x)
+    terms = np.log1p(a / params.eps)
+    total = float(terms.sum())  # the method skips np.sum's dispatch; same reduction
+    if total == math.inf:
+        # some |x_i|/eps overflowed, so eps < 1 and eps + |x_i| cannot
+        fallback = np.log(params.eps + a) - math.log(params.eps)
+        total = float(np.where(np.isinf(terms), fallback, terms).sum())
+    return total
 
 
 def vector_objective(params: ProxParams, x: np.ndarray, z: np.ndarray) -> float:
     """``||x - z||^2 / (2*lam) + logsum_penalty(x)``."""
     x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    return float(np.sum((x - z) ** 2) / (2.0 * params.lam) + logsum_penalty(params, x))
+    return _objective(params, x, x - np.asarray(z, dtype=float))
+
+
+@np.errstate(over="ignore")  # overflowing squares or quotients are redone, not reported
+def _objective(params: ProxParams, x: np.ndarray, d: np.ndarray) -> float:
+    quad = float((d * d).sum()) / params.lam
+    if quad == math.inf and np.all(np.isfinite(d)):  # the squares overflowed, the quotient need not
+        m = float(np.max(np.abs(d)))
+        u = d / m
+        quad = float(np.sum(u * u)) * (m / params.lam) * m
+    # halved after the division (exact above the subnormal range), so 2*lam cannot overflow
+    return 0.5 * quad + _logsum_penalty(params, x)
 
 
 def _validated_vector(z) -> np.ndarray:
@@ -64,13 +87,14 @@ def _validated_vector(z) -> np.ndarray:
 def prox_vector(params: ProxParams, z) -> VectorProxResult:
     """Apply the scalar operator to every component of ``z``."""
     z = _validated_vector(z)
-    canonical = np.empty_like(z)
+    values: list[float] = []
     ambiguous: list[int] = []
-    for i, zi in enumerate(z):
-        res = prox_scalar(params, float(zi))
-        canonical[i] = res.canonical
+    for i, zi in enumerate(z.tolist()):
+        res = prox_scalar(params, zi)
+        values.append(res.canonical)
         if res.kind is ProxKind.PAIR:
             ambiguous.append(i)
+    canonical = np.array(values)
     return VectorProxResult(
         canonical=canonical,
         ambiguous_indices=tuple(ambiguous),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,21 @@ class TestPlumbing:
             lam, eps, z = mpf(1e308), mpf(1e-300), mpf(1e156)
             expected = (z - eps) / 2 + mp.sqrt((z + eps) ** 2 / 4 - lam)
             assert abs(value - expected) <= 1e-14 * expected
+
+    @pytest.mark.parametrize("z", ["1e156", "4e155"])
+    def test_objective_beyond_the_double_range(self, capsys, z):
+        # 2*lam overflows a double here, and so do |prox(1e156)|/eps (the objective
+        # is about 1049.98) and the square of 4e155 - prox(4e155) = 4e155 (it is 800)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "prox", "--lambda", "1e308", "--eps", "1e-300",
+                                 "--z", z, "--format", "json")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        with mp.workdps(60):
+            lam, eps, x = mpf(1e308), mpf(1e-300), mpf(doc["values"][0])
+            expected = (x - mpf(z)) ** 2 / (2 * lam) + mp.log(1 + x / eps)
+        assert abs(doc["objective"] - expected) <= 1e-14 * expected
 
     @pytest.mark.parametrize("argv, nulls", [
         (("zstar", "--lambda", "1e300", "--eps", "1e-10"), [("bracket", 1)]),

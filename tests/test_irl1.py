@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logsum_prox import (
     DomainError,
@@ -12,6 +14,7 @@ from logsum_prox import (
     LimitKind,
     PreconditionError,
     ProxParams,
+    Regime,
     RegimeError,
     StopReason,
     failure_intervals,
@@ -216,6 +219,78 @@ class TestPredict:
             x0 = float(rng.uniform(0.0, 5.0))
             pred = irl1_predict_limit(p, z, x0)
             assert limit_matches_prox(p, z, pred.limit, tol=1e-9)
+
+
+def predicted_by_case_table(p, z, x0):
+    """``(limit, kind, tag)`` from irl1_predict_limit's docstring, read literally,
+    with the public ``r1``/``r2`` and the sign of ``z`` on every limit."""
+    a = abs(z)
+    sign = 1.0 if z >= 0 else -1.0
+    threshold, bracket_low = p.lam / p.eps, 2.0 * math.sqrt(p.lam) - p.eps
+    convex = math.sqrt(p.lam) <= p.eps
+    if a == 0.0 or x0 == 0.0:
+        if a <= threshold:
+            return sign * 0.0, LimitKind.ZERO, "conv2"
+        return sign * r2(p, a), LimitKind.R2, "conv2"
+    if a >= threshold:
+        lim = r2(p, a)
+        return sign * lim, LimitKind.R2 if lim > 0 else LimitKind.ZERO, "conv3"
+    if a < bracket_low:
+        return sign * 0.0, LimitKind.ZERO, "conv4"
+    if convex:
+        return sign * 0.0, LimitKind.ZERO, "conv5"
+    r1a = r1(p, a)
+    if abs(x0 - r1a) <= 1e-12 * abs(r1a):
+        return sign * r1a, LimitKind.R1_FIXED_POINT, "conv6"
+    if x0 < r1a:
+        return sign * 0.0, LimitKind.ZERO, "conv6"
+    return sign * r2(p, a), LimitKind.R2, "conv6"
+
+
+@st.composite
+def predict_cases(draw):
+    """A pair from the tested band or the whole double range, an input in a
+    chosen region of the case analysis and a start chosen against r1 there."""
+    if draw(st.booleans()):
+        eps = draw(st.floats(0.1, 3.0))
+        lam = (eps * draw(st.floats(0.15, 3.2))) ** 2
+    else:
+        lam, eps = 10.0 ** draw(st.floats(-300.0, 300.0)), 10.0 ** draw(st.floats(-300.0, 300.0))
+    p = ProxParams(lam, eps)
+    lo, hi = max(p.bracket_low, 0.0), min(p.threshold, 1e300)
+    f, g = draw(st.floats(0.0, 1.0)), draw(st.floats(0.01, 0.99))
+    region = draw(st.sampled_from(["zero", "below", "band", "band", "beyond"]))
+    a = {"zero": 0.0, "below": f * lo, "band": lo + f * max(hi - lo, 0.0), "beyond": hi * (1.0 + 4.0 * f)}[region]
+    r1a = r1(p, a) if p.regime() is Regime.NONCONVEX and lo <= a < p.threshold else None
+    start = draw(st.sampled_from(["zero", "on_r1", "near_r1", "below_r1", "above_r1", "any"]))
+    if r1a is None or r1a <= 0.0 or start in ("zero", "any"):
+        x0 = 0.0 if start == "zero" else math.sqrt(lam) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    else:
+        x0 = {"on_r1": r1a, "near_r1": r1a * (1.0 + 5e-13), "below_r1": g * r1a,
+              "above_r1": r1a + g * (math.sqrt(lam) + a)}[start]
+    z = -a if draw(st.booleans()) else a
+    return p, z, x0
+
+
+class TestPredictCaseTable:
+    @example(case=(P31, 0.0, 1.0))  # conv2, z == 0
+    @example(case=(P31, -2.5, 0.0))  # conv2, zero start: -0.0
+    @example(case=(P31, -5.0, 0.0))  # conv2 beyond the threshold
+    @example(case=(P31, 3.5, 1.0))  # conv3
+    @example(case=(P31, -2.0, 5.0))  # conv4, nonconvex: -0.0
+    @example(case=(ProxParams(1.0, 1.5), 0.3, 1.0))  # conv4, convex with a positive bracket edge
+    @example(case=(ProxParams(1.0, 1.5), -0.6, 1.0))  # conv5: -0.0
+    @example(case=(P31, 2.5, 0.5))  # conv6 on r1(2.5) = 0.5
+    @example(case=(P31, -2.5, 0.3))  # conv6 below r1: -0.0
+    @example(case=(P31, -2.5, 2.0))  # conv6 above r1
+    @given(predict_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_case_table(self, case):
+        p, z, x0 = case
+        got = irl1_predict_limit(p, z, x0)
+        limit, kind, tag = predicted_by_case_table(p, z, x0)
+        assert (got.classification, got.justification) == (kind, tag)
+        assert got.limit == limit and math.copysign(1.0, got.limit) == math.copysign(1.0, limit)
 
 
 class TestR1Inverse:

@@ -166,6 +166,13 @@ class TestLogdetPenalty:
         got = logdet_penalty(p, np.diag([0.7, 0.7]))
         assert got == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
 
+    def test_values_only_svd_matches_the_full_one(self):
+        rng = np.random.default_rng(19)
+        low_rank = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 30))
+        for x in (rng.standard_normal((416, 320)), rng.standard_normal((3, 7)) * 4.0, low_rank, np.eye(3)):
+            full = float(np.sum(np.log1p(svd(x).singular_values / P31.eps)))
+            assert logdet_penalty(P31, x) == pytest.approx(full, rel=1e-12)
+
     def test_matches_gram_eigendecomposition(self):
         rng = np.random.default_rng(18)
         for shape in ((3, 4), (4, 3), (2, 6), (5, 5)):

@@ -1,11 +1,12 @@
 """Scalar operator: parameters, roots, tie gap, jump point, prox."""
 
+import dataclasses
 import math
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -66,6 +67,26 @@ class TestProxParams:
         assert P31.bracket_low == pytest.approx(2.0 * math.sqrt(3.0) - 1.0, abs=1e-15)
         assert P23.threshold == pytest.approx(2.0 / 3.0, abs=1e-16)
 
+    def test_derived_constants_are_not_fields(self):
+        # the pair's constants are cached beside the fields, not as fields
+        assert [f.name for f in dataclasses.fields(ProxParams)] == ["lam", "eps"]
+        assert repr(P31) == "ProxParams(lam=3.0, eps=1.0)"
+        assert ProxParams(3, 1) == P31 and hash(P31) == hash((3.0, 1.0))
+        assert ProxParams(3.0, 2.0) != P31
+        q = dataclasses.replace(P31, eps=2.0)  # sqrt(3) <= 2
+        assert q.regime() is Regime.CONVEX
+        assert (q.threshold, q.bracket_low, q.r1_max) == (1.5, 2.0 * math.sqrt(3.0) - 2.0, math.sqrt(3.0) - 2.0)
+
+    @given(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))
+    @settings(max_examples=200, deadline=None)
+    def test_derived_constants_over_the_double_range(self, log_lam, log_eps):
+        lam, eps = 10.0**log_lam, 10.0**log_eps
+        p = ProxParams(lam, eps)
+        assert p.regime() is (Regime.CONVEX if math.sqrt(lam) <= eps else Regime.NONCONVEX)
+        assert p.threshold == lam / eps  # inf where the quotient overflows
+        assert p.bracket_low == 2.0 * math.sqrt(lam) - eps
+        assert p.r1_max == math.sqrt(lam) - eps
+
     @given(params_st)
     @settings(max_examples=100, deadline=None)
     def test_regime_partitions_all_params(self, p):
@@ -87,6 +108,14 @@ class TestQObjective:
     def test_finite_everywhere(self):
         for x in (-1e8, -3.2, 0.0, 1e-12, 7.0, 1e8):
             assert math.isfinite(q_objective(P31, 2.0, x))
+
+    @pytest.mark.parametrize("z, x", [(1e156, 0.0), (1e156, 9.999e155), (0.0, -1e156)])
+    def test_finite_where_square_or_quotient_overflows(self, z, x):
+        # (x - z)**2 or |x|/eps overflows a double here; the objective does not
+        p = ProxParams(1e308, 1e-300)
+        with mp.workdps(60):
+            want = (mpf(x) - mpf(z)) ** 2 / (2 * mpf(p.lam)) + mp.log(1 + abs(mpf(x)) / mpf(p.eps))
+        assert abs(q_objective(p, z, x) - want) <= 1e-14 * want
 
 
 class TestRoots:
@@ -147,6 +176,18 @@ class TestRoots:
         assert r2(p, edge) == r1(p, edge) == pytest.approx(math.sqrt(1e308), rel=1e-15)
         with pytest.raises(DomainError, match="below the root bracket"):
             r2(p, 0.75 * edge)
+
+    @example(lam=0.25, eps=0.5, zs=[15.975627167855432])  # z + eps squares wrongly by pow()
+    @given(st.floats(0.01, 100.0), st.floats(0.01, 10.0), st.lists(st.floats(0.0, 1e6), min_size=1, max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_r2_matches_the_numpy_elementwise_form(self, lam, eps, zs):
+        # numpy squares by multiplication; so must r2, for an array kernel to match it bit for bit
+        p = ProxParams(lam, eps)
+        z = np.array(zs)
+        disc = (z + eps) ** 2 / 4.0 - lam
+        z, disc = z[disc >= 0.0], disc[disc >= 0.0]
+        want = 0.5 * (z - eps) + np.sqrt(disc)
+        assert [r2(p, v) for v in z.tolist()] == want.tolist()
 
     def test_monotone_on_domain(self):
         zs = np.linspace(P31.bracket_low, 12.0, 400)

@@ -1,13 +1,16 @@
 """Componentwise vector operator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from logsum_prox import (
     PreconditionError,
     ProxParams,
+    logsum_penalty,
     prox_scalar,
     prox_vector,
     vector_objective,
@@ -54,6 +57,28 @@ def test_objective_value_definition():
     )
     assert res.objective_value == pytest.approx(manual, rel=1e-15)
     assert res.objective_value == pytest.approx(vector_objective(P23, res.canonical, z), rel=1e-15)
+
+
+def test_penalty_where_the_quotient_overflows():
+    # |x|/eps overflows a double for the first two entries; the penalty does not
+    p = ProxParams(1e308, 1e-300)
+    x = np.array([9.999e155, -1e156, 0.5, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = logsum_penalty(p, x)
+    with mp.workdps(60):
+        want = sum(mp.log(1 + abs(mpf(v)) / mpf(p.eps)) for v in x.tolist())
+    assert abs(got - want) <= 1e-14 * want
+    # a scalar or 0-d x takes the same fallback
+    with mp.workdps(60):
+        want = float(mp.log(1 + mpf(1e156) / mpf(p.eps)))
+    for v in (1e156, np.float64(-1e156), np.array(1e156)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(logsum_penalty(p, v) - want) <= 1e-14 * want
+    # where nothing overflows, the value is the plain sum, bit for bit
+    y = np.random.default_rng(7).standard_normal(100) * 1e3
+    assert logsum_penalty(p, y) == float(np.sum(np.log1p(np.abs(y) / p.eps)))
 
 
 def test_objective_dominates_trivial_candidates():

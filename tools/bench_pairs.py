@@ -1,0 +1,108 @@
+"""Compare two checkouts on one benchmark workload in alternating pairs of runs.
+
+Usage:
+
+    python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W --pairs N --seed0 S
+
+Pair ``i`` runs each tree's own, unchanged ``perfbench/run.py`` once with
+seed ``S + i`` and nothing else, so at the benchmark's run length; the parent runs first in even pairs and second in odd ones,
+so a drift in machine speed does not favour one side.  Every run is printed
+as it finishes.  Then, for each end-to-end metric of ``BENCHMARK.json``,
+the summary gives both sides' median and quartiles, how many pairs the
+change won (ties count for neither side), and the gap between the medians
+against the parent's interquartile range.  The calibration medians that
+``run.py`` prints (a pure-Python loop and a numpy SVD that never call the
+library) are summarized the same way: they show whether the machine's speed
+moved during the comparison.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+CALIBRATION = re.compile(r"py_loop median ([0-9.]+) ms .*numpy_svd128 median ([0-9.]+) ms")
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict:
+    """One ``run.py`` process; returns its final JSON line plus the calibration medians."""
+    cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload, "--seed", str(seed)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"bench_pairs: {' '.join(cmd)} exited with code {proc.returncode}")
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    cal = next((CALIBRATION.search(line) for line in lines if line.startswith("calibration")), None)
+    result["calibration"] = {"py_loop_ms": float(cal.group(1)), "numpy_svd128_ms": float(cal.group(2))} if cal else {}
+    return result
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def summarize(name: str, unit: str, parent: list[float], change: list[float], better: str | None) -> str:
+    pq, cq = quartiles(parent), quartiles(change)
+    line = (f"{name} ({unit}): parent {pq[1]:.6g} [{pq[0]:.6g}, {pq[2]:.6g}] -> "
+            f"change {cq[1]:.6g} [{cq[0]:.6g}, {cq[2]:.6g}]")
+    if better is None:
+        return line
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    gap = sign * (cq[1] - pq[1])
+    iqr = pq[2] - pq[0]
+    ratio = cq[1] / pq[1] if pq[1] else float("nan")
+    return (f"{line}; ratio {ratio:.3f}; change better in {wins} of {len(parent)} pairs; "
+            f"median gap {gap:+.6g} ({better} is better) against parent IQR {iqr:.6g}")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed0", type=int, default=1, help="seed of the first pair; pair i uses seed0 + i")
+    args = parser.parse_args()
+    spec = json.loads(BENCHMARK.read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        seed = args.seed0 + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            res = run_once(getattr(args, side).resolve(), args.workload, seed)
+            runs[side].append(res)
+            values = ", ".join(f"{k} {v['value']:.6g}" for k, v in res["metrics"].items())
+            print(f"pair {i} seed {seed} {side}: correct {res['correct']}, attempted {res['attempted']}, "
+                  f"failed {res['failed']}; {values}; calibration {res['calibration']}", flush=True)
+
+    print(f"\n{args.workload}: {args.pairs} pairs, seeds {args.seed0}-{args.seed0 + args.pairs - 1}")
+    for name, unit in ((k, v["unit"]) for k, v in runs["parent"][0]["metrics"].items()):
+        parent = [r["metrics"][name]["value"] for r in runs["parent"]]
+        change = [r["metrics"][name]["value"] for r in runs["change"]]
+        print(summarize(name, unit, parent, change, better.get(name)))
+    for key in ("py_loop_ms", "numpy_svd128_ms"):
+        parent = [r["calibration"][key] for r in runs["parent"] if key in r["calibration"]]
+        change = [r["calibration"][key] for r in runs["change"] if key in r["calibration"]]
+        if parent and change:
+            print(summarize(f"calibration {key}", "ms", parent, change, None))
+    for side, rs in runs.items():
+        print(f"{side}: correct in {sum(r['correct'] for r in rs)} of {len(rs)} runs, "
+              f"failed {sum(r['failed'] for r in rs)} of {sum(r['attempted'] for r in rs)} ops")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
