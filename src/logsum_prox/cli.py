@@ -37,7 +37,7 @@ from .irl1 import (
     limit_matches_prox,
 )
 from .matrix import prox_matrix
-from .scalar import ProxParams, Regime, prox_scalar, z_star
+from .scalar import ProxParams, Regime, prox_scalar, r2, z_star
 from .vector import prox_vector
 
 __all__ = ["main", "build_parser"]
@@ -295,11 +295,15 @@ def cmd_irl1_failures(args) -> int:
 
 def cmd_sweep(args) -> int:
     params = _params(args)
-    rows = []
-    for z in np.linspace(args.start, args.stop, args.points):
-        res = prox_scalar(params, float(z))
-        for v in res.values:  # both branches at the jump point
-            rows.append((float(z), float(v)))
+    grid = np.linspace(args.start, args.stop, args.points)
+    res = prox_vector(params, grid)
+    rows = list(zip(grid.tolist(), res.canonical.tolist()))
+    if res.ambiguous_indices:
+        # both branches at the jump point: the canonical 0, then sgn(z)*r2(z_star)
+        jump = r2(params, z_star(params).z_star)
+        for i in reversed(res.ambiguous_indices):
+            z = rows[i][0]
+            rows.insert(i + 1, (z, jump if z > 0 else -jump))
     _emit(
         args,
         lambda: [f"{_fmt6(z)} {_fmt6(v)}" for z, v in rows],

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
 from .scalar import ProxParams
-from .vector import logsum_penalty, prox_vector
+from .vector import _half_square, logsum_penalty, prox_vector
 
 __all__ = [
     "SvdFactorization",
@@ -97,15 +97,23 @@ class MatrixProxResult:
 
 
 def matrix_objective(params: ProxParams, x, z) -> float:
-    """``||x - z||_F^2 / (2*lam) + logdet_penalty(x)``."""
+    """``||x - z||_F^2 / (2*lam) + logdet_penalty(x)``, finite wherever the true value is."""
     x = _validated_matrix(x)
     z = _validated_matrix(z)
-    fro2 = float(np.sum((x - z) ** 2))
-    return fro2 / (2.0 * params.lam) + logdet_penalty(params, x)
+    with np.errstate(over="ignore"):  # overflowing squares are redone, not reported
+        quad = _half_square(params, (x - z).ravel())
+    return quad + logdet_penalty(params, x)
 
 
 def prox_matrix(params: ProxParams, z) -> MatrixProxResult:
-    """Solve the matrix problem exactly via the singular-value reduction."""
+    """Solve the matrix problem exactly via the singular-value reduction.
+
+    ``objective_value`` is taken from the singular values: ``X* - Z`` and
+    ``diag(d - sigma)`` share the orthogonal factors, so
+    ``||X* - Z||_F = ||d - sigma||_2`` and the objective is
+    ``vector_objective(params, d, sigma)``, which ``prox_vector`` already
+    returns.
+    """
     z = _validated_matrix(z)
     fac = svd(z)
     vec = prox_vector(params, fac.singular_values)
@@ -114,13 +122,11 @@ def prox_matrix(params: ProxParams, z) -> MatrixProxResult:
     # singular triplets only, in O(m*n*r) instead of O(m*n*k)
     r = int(np.count_nonzero(d))
     x_star = (fac.u[:, :r] * d[:r]) @ fac.v[:, :r].T
-    fro2 = float(np.sum((x_star - z) ** 2))
-    objective = fro2 / (2.0 * params.lam) + logsum_penalty(params, d)
     return MatrixProxResult(
         x_star=x_star,
         d=d,
         ambiguous_indices=vec.ambiguous_indices,
-        objective_value=objective,
+        objective_value=vec.objective_value,
         singular_values=fac.singular_values,
     )
 

@@ -62,6 +62,10 @@ __all__ = [
 # fails.
 _DISC_CLAMP = 1e-12
 
+# r2 below eps is exact-rational where lam - z*eps is below this share of
+# lam, so that its one rounding of z*eps costs at most 2**-41 relative error.
+_VIETA_CANCEL = 2.0**-12
+
 
 class Regime(Enum):
     """Shape of the one-dimensional objective on [0, inf)."""
@@ -211,7 +215,10 @@ def _roots(params: ProxParams, z: float) -> tuple[float, float]:
     """``(r1(z), r2(z))``, both from one root radius."""
     half = 0.5 * (z - params.eps)
     rad = _root_radius(params, z)
-    return half - rad, half + rad
+    r1_z = half - rad
+    if z < params.eps:
+        return r1_z, _r2_by_vieta(params, z, r1_z)
+    return r1_z, half + rad
 
 
 def r1(params: ProxParams, z: float) -> float:
@@ -223,10 +230,35 @@ def r2(params: ProxParams, z: float) -> float:
     """Larger root of ``x = z - lam/(eps + x)``; strictly increasing in ``z``.
 
     This is the candidate nonzero prox value.  ``r2(lam/eps)`` is ``0`` in
-    the convex regime and ``lam/eps - eps`` in the nonconvex regime.
+    the convex regime and ``lam/eps - eps`` in the nonconvex regime.  Below
+    ``eps``, where ``(z - eps)/2 + sqrt(...)`` cancels, it is taken by
+    Vieta's formula from ``r1``, so its sign is right even one double above
+    ``lam/eps``.
     """
-    # _roots(params, z)[1], spelled out: prox_scalar calls r2 once per element
-    return 0.5 * (z - params.eps) + _root_radius(params, z)
+    # _roots(params, z)[1], spelled out: the prox calls r2 once per element
+    half = 0.5 * (z - params.eps)
+    rad = _root_radius(params, z)
+    if z < params.eps:
+        return _r2_by_vieta(params, z, half - rad)
+    return half + rad
+
+
+def _r2_by_vieta(params: ProxParams, z: float, r1_z: float) -> float:
+    """``r2(z) = (lam - z*eps)/r1(z)`` for ``z < eps``, where ``r1(z) <= (z - eps)/2 < 0``.
+
+    ``lam - z*eps`` is the product of the roots, and ``r1`` does not cancel.
+    Where the product cancels (near ``lam/eps``, where it is below
+    ``_VIETA_CANCEL*lam``) or ``z*eps`` overflows, the quotient is taken in
+    exact rational arithmetic and rounded once.
+    """
+    lam, eps = params.lam, params.eps
+    num = lam - z * eps
+    if _VIETA_CANCEL * lam <= abs(num) < math.inf or not math.isfinite(r1_z):
+        return num / r1_z
+    (ln, ld), (zn, zd), (en, ed) = lam.as_integer_ratio(), z.as_integer_ratio(), eps.as_integer_ratio()
+    rn, rd = r1_z.as_integer_ratio()
+    # (ln/ld - zn*en/(zd*ed)) / (rn/rd); int / int rounds correctly
+    return ((ln * zd * ed - zn * en * ld) * rd) / (ld * zd * ed * rn)
 
 
 def gap_r(params: ProxParams, z: float) -> float:
@@ -309,30 +341,60 @@ def _z_star_cached(lam: float, eps: float) -> ZStarResult:
     )
 
 
-def prox_scalar(params: ProxParams, z: float, pair_tol: float | None = None) -> ProxResult:
-    """Global minimizer set of ``q`` at ``z``.
+def prox_scalar(params: ProxParams, z: float) -> ProxResult:
+    """Global minimizer set of ``q`` at ``z``, by the rule of :func:`_prox_values`.
 
     Convex regime: ``{0}`` for ``|z| <= lam/eps`` (the boundary is
     classified as zero; both branches agree there), else
     ``{sgn(z) * r2(|z|)}``.
 
     Nonconvex regime: ``{0}`` for ``|z| < z_star``,
-    ``{0, sgn(z) * r2(z_star)}`` for ``|z|`` within ``pair_tol`` of
-    ``z_star`` (default ``1e-12 * z_star``), else
-    ``{sgn(z) * r2(|z|)}``.
+    ``{0, sgn(z) * r2(z_star)}`` for ``|z|`` within ``1e-12 * z_star`` of
+    ``z_star``, else ``{sgn(z) * r2(|z|)}``.
     """
-    if z == 0.0:
-        return ProxResult(ProxKind.ZERO, (0.0,))
-    a = abs(z)
-    s = 1.0 if z > 0 else -1.0
+    (value,), pairs, jump = _prox_values(params, [z])
+    if pairs:
+        other = r2(params, jump)
+        return ProxResult(ProxKind.PAIR, (0.0, other if z > 0 else -other))
+    # r2 is nonzero wherever the rule takes it: above lam/eps, or at or above z_star
+    return ProxResult(ProxKind.ZERO if value == 0.0 else ProxKind.POINT, (value,))
+
+
+def _prox_values(params: ProxParams, zs: list[float]) -> tuple[list[float], list[int], float | None]:
+    """Canonical prox value of each float in ``zs``, the positions on the jump point, and ``z_star``.
+
+    The branch rule, written once for every elementwise path: zero for
+    ``|z| <= lam/eps`` (convex) or ``|z| < z_star`` (nonconvex), a pair with
+    canonical zero within ``1e-12 * z_star`` of ``z_star``, otherwise
+    ``sgn(z) * r2(|z|)``.  A plain loop over Python floats, with no object
+    per element; one loop per regime, so the convex loop makes one
+    comparison per zero.  ``z_star`` is ``None`` in the convex regime.
+    """
+    values: list[float] = []
+    pairs: list[int] = []
+    append = values.append
     if params._regime is Regime.CONVEX:
-        if a <= params.threshold:
-            return ProxResult(ProxKind.ZERO, (0.0,))
-        return ProxResult(ProxKind.POINT, (s * r2(params, a),))
-    zs = _z_star_cached(params.lam, params.eps).z_star
-    tol = 1e-12 * zs if pair_tol is None else pair_tol
-    if abs(a - zs) <= tol:
-        return ProxResult(ProxKind.PAIR, (0.0, s * r2(params, zs)))
-    if a < zs:
-        return ProxResult(ProxKind.ZERO, (0.0,))
-    return ProxResult(ProxKind.POINT, (s * r2(params, a),))
+        cut = params.threshold
+        for z in zs:
+            a = abs(z)
+            if a <= cut:
+                append(0.0)
+            elif z > 0:
+                append(r2(params, a))
+            else:
+                append(-r2(params, a))
+        return values, pairs, None
+    jump = _z_star_cached(params.lam, params.eps).z_star
+    tol = 1e-12 * jump
+    for i, z in enumerate(zs):
+        a = abs(z)
+        if abs(a - jump) <= tol:
+            append(0.0)
+            pairs.append(i)
+        elif a < jump:
+            append(0.0)
+        elif z > 0:
+            append(r2(params, a))
+        else:
+            append(-r2(params, a))
+    return values, pairs, jump

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .scalar import ProxKind, ProxParams, prox_scalar
+from .scalar import ProxParams, _prox_values
+# prox_scalar stays a module attribute: perfbench/tracing.py patches it by name
+from .scalar import prox_scalar  # noqa: F401
 
 __all__ = [
     "VectorProxResult",
@@ -66,13 +68,21 @@ def vector_objective(params: ProxParams, x: np.ndarray, z: np.ndarray) -> float:
 
 @np.errstate(over="ignore")  # overflowing squares or quotients are redone, not reported
 def _objective(params: ProxParams, x: np.ndarray, d: np.ndarray) -> float:
+    return _half_square(params, d) + _logsum_penalty(params, x)
+
+
+def _half_square(params: ProxParams, d: np.ndarray) -> float:
+    """``||d||^2 / (2*lam)`` of a 1-d float array, finite wherever the true value is.
+
+    The caller ignores overflow in ``np.errstate``.
+    """
     quad = float((d * d).sum()) / params.lam
     if quad == math.inf and np.all(np.isfinite(d)):  # the squares overflowed, the quotient need not
         m = float(np.max(np.abs(d)))
         u = d / m
         quad = float(np.sum(u * u)) * (m / params.lam) * m
     # halved after the division (exact above the subnormal range), so 2*lam cannot overflow
-    return 0.5 * quad + _logsum_penalty(params, x)
+    return 0.5 * quad
 
 
 def _validated_vector(z) -> np.ndarray:
@@ -85,15 +95,14 @@ def _validated_vector(z) -> np.ndarray:
 
 
 def prox_vector(params: ProxParams, z) -> VectorProxResult:
-    """Apply the scalar operator to every component of ``z``."""
+    """Apply the scalar operator to every component of ``z``.
+
+    One pass of the scalar branch rule over ``z.tolist()``; the canonical
+    values and ambiguous indices equal ``prox_scalar`` on each component,
+    bit for bit.
+    """
     z = _validated_vector(z)
-    values: list[float] = []
-    ambiguous: list[int] = []
-    for i, zi in enumerate(z.tolist()):
-        res = prox_scalar(params, zi)
-        values.append(res.canonical)
-        if res.kind is ProxKind.PAIR:
-            ambiguous.append(i)
+    values, ambiguous, _ = _prox_values(params, z.tolist())
     canonical = np.array(values)
     return VectorProxResult(
         canonical=canonical,

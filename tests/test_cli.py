@@ -219,6 +219,13 @@ class TestSweepCommand:
         for z, v in rows:
             assert abs(v - (z - 2.0 / (z + 3.0))) <= 0.01
 
+    @pytest.mark.parametrize("bounds", [("nan", "1"), ("1", "nan")])
+    def test_nonfinite_grid_exits_3(self, capsys, bounds):
+        code, out, err = run(capsys, "sweep", "--lambda", "3", "--eps", "1",
+                             "--from", bounds[0], "--to", bounds[1], "--points", "3")
+        assert code == 3 and out == ""
+        assert err == "error: z must have finite entries\n"
+
     def test_byte_determinism(self, capsys):
         args = ("sweep", "--lambda", "3", "--eps", "1",
                 "--from", "-4", "--to", "4", "--points", "513")
@@ -329,6 +336,17 @@ class TestPlumbing:
             lam, eps, x = mpf(1e308), mpf(1e-300), mpf(doc["values"][0])
             expected = (x - mpf(z)) ** 2 / (2 * lam) + mp.log(1 + x / eps)
         assert abs(doc["objective"] - expected) <= 1e-14 * expected
+
+    def test_matprox_objective_beyond_the_double_range(self, capsys, tmp_path):
+        # the squares of X* - Z and 2*lam overflow; the objective comes from the singular values
+        src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
+        write_matrix_bin(src, np.diag([1e156, 2e155]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "matprox", "--lambda", "1e308", "--eps", "1e-300",
+                                 "--in", str(src), "--out", str(dst), "--format", "bin")
+        assert code == 0 and err == ""
+        assert "objective_value: 1249.98" in out.splitlines()
 
     @pytest.mark.parametrize("argv, nulls", [
         (("zstar", "--lambda", "1e300", "--eps", "1e-10"), [("bracket", 1)]),

@@ -1,9 +1,11 @@
 """Singular-value matrix operator and the log-det penalty."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from logsum_prox import (
     PreconditionError,
@@ -145,6 +147,23 @@ class TestProxMatrix:
         assert res.objective_value == pytest.approx(
             matrix_objective(P23, res.x_star, z), abs=1e-12
         )
+
+    def test_objective_where_the_squares_overflow(self):
+        # 2*lam, the squares of the entries of X* - Z and |d_i|/eps all overflow a double
+        p = ProxParams(1e308, 1e-300)
+        z = np.diag([1e156, 2e155])  # z_star = 4.58e155 lies between them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = prox_matrix(p, z)
+            direct = matrix_objective(p, res.x_star, z)
+        with mp.workdps(60):
+            lam, eps = mpf(p.lam), mpf(p.eps)
+            want = 0
+            for sigma in (mpf(1e156), mpf(2e155)):
+                x = (sigma - eps) / 2 + mp.sqrt((sigma + eps) ** 2 / 4 - lam)
+                want += min(sigma**2 / (2 * lam), (x - sigma) ** 2 / (2 * lam) + mp.log(1 + x / eps))
+            assert abs(res.objective_value - want) <= 1e-12 * want
+            assert abs(direct - want) <= 1e-12 * want
 
     def test_objective_beats_candidates_small_scale(self):
         rng = np.random.default_rng(16)

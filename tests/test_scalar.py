@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -186,8 +187,57 @@ class TestRoots:
         z = np.array(zs)
         disc = (z + eps) ** 2 / 4.0 - lam
         z, disc = z[disc >= 0.0], disc[disc >= 0.0]
-        want = 0.5 * (z - eps) + np.sqrt(disc)
+        half, rad = 0.5 * (z - eps), np.sqrt(disc)
+        # below eps by Vieta, r2 = (lam - z*eps)/r1; where lam - z*eps cancels, in exact arithmetic
+        num, below = lam - z * eps, z < eps
+        want = half + rad
+        want[below] = num[below] / (half - rad)[below]
+        for i in np.flatnonzero(below & (np.abs(num) < 2.0**-12 * lam)):
+            want[i] = float((Fraction(lam) - Fraction(z[i]) * Fraction(eps)) / Fraction(half[i] - rad[i]))
         assert [r2(p, v) for v in z.tolist()] == want.tolist()
+
+    def test_convex_sign_just_above_the_threshold(self):
+        # (z - eps)/2 + sqrt(...) cancels below eps; r2 by Vieta keeps the sign of the
+        # prox one to three doubles above lam/eps, where the true value is tiny but positive
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            eps = 10.0 ** rng.uniform(-100, 100)
+            p = ProxParams((eps * 10.0 ** rng.uniform(-6, 0)) ** 2, eps)
+            if p.regime() is not Regime.CONVEX:
+                continue
+            z = p.threshold
+            for _ in range(3):
+                z = math.nextafter(z, math.inf)
+                if z >= eps:
+                    break
+                for sign in (1.0, -1.0):
+                    v = prox_scalar(p, sign * z).canonical
+                    assert v != 0.0 and math.copysign(1.0, v) == sign, (p, z, v)
+
+    def test_r2_below_eps_against_high_precision(self):
+        rng = np.random.default_rng(32)
+        cases = [(0.6401025772860353, 0.8149779273673193, 0.7854232069251297)]  # printed -8.3e-16
+        while len(cases) < 400:
+            eps = 10.0 ** rng.uniform(-100, 100)
+            p = ProxParams((eps * 10.0 ** rng.uniform(-6, 0)) ** 2, eps)
+            lo = p.threshold * (1 + 1e-3)
+            if lo < eps:
+                cases.append((p.lam, eps, lo + (eps - lo) * rng.uniform() ** 4))
+        for lam, eps, z in cases:
+            with mp.workdps(50):
+                want = (mpf(z) - eps) / 2 + mp.sqrt((mpf(z) + eps) ** 2 / 4 - lam)
+                assert abs(r2(ProxParams(lam, eps), z) - want) <= 1e-12 * want, (lam, eps, z)
+
+    @pytest.mark.parametrize("lam, eps, z", [
+        (1e300, 1e200, 1.5e100),
+        (1.7e308, 1e200, 1.8e108),
+        (1e300, 1.7e308, 1e-7),
+    ])
+    def test_r2_below_eps_where_the_product_overflows(self, lam, eps, z):
+        # z*eps overflows a double; the root product lam - z*eps is taken exactly
+        with mp.workdps(400):  # (z - eps)/2 + sqrt(...) cancels to 1e-315 of eps here
+            want = (mpf(z) - eps) / 2 + mp.sqrt((mpf(z) + eps) ** 2 / 4 - lam)
+            assert abs(r2(ProxParams(lam, eps), z) - want) <= 1e-15 * abs(want)
 
     def test_monotone_on_domain(self):
         zs = np.linspace(P31.bracket_low, 12.0, 400)
@@ -425,11 +475,6 @@ class TestProxScalar:
         zs = z_star(p).z_star
         assert prox_scalar(p, zs * (1 + 1e-6)).kind is ProxKind.POINT
         assert prox_scalar(p, zs).kind is ProxKind.PAIR
-
-    def test_pair_tolerance_is_configurable(self):
-        zs = z_star(P31).z_star
-        assert prox_scalar(P31, zs + 1e-6).kind is ProxKind.POINT
-        assert prox_scalar(P31, zs + 1e-6, pair_tol=1e-5).kind is ProxKind.PAIR
 
     @given(params_st, st.floats(-100.0, 100.0))
     @settings(max_examples=200, deadline=None)

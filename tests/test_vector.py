@@ -5,11 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from logsum_prox import (
     PreconditionError,
+    ProxKind,
     ProxParams,
+    Regime,
     logsum_penalty,
     prox_scalar,
     prox_vector,
@@ -41,12 +45,54 @@ def test_mixed_sides_of_jump():
     np.testing.assert_allclose(res.canonical, [0.0, PROX_31_29], atol=1e-13)
 
 
-def test_matches_scalar_componentwise():
-    rng = np.random.default_rng(3)
-    z = rng.uniform(-8, 8, size=40)
-    res = prox_vector(P31, z)
-    for zi, vi in zip(z, res.canonical):
-        assert vi == prox_scalar(P31, float(zi)).canonical
+def _log_uniform_pair(u, v):
+    return ProxParams(10.0**u, 10.0**v)
+
+
+def _boundary_pair(v):
+    eps = 10.0**v
+    return ProxParams(eps * eps, eps)  # sqrt(lam) == eps up to rounding: either regime
+
+
+pairs_st = st.one_of(
+    st.sampled_from([(3.0, 1.0), (0.5, 1.0), (4.0, 2.0), (1e10, 1e-10), (1e-300, 1e-160), (25.0, 1.0)])
+    .map(lambda pair: ProxParams(*pair)),
+    st.builds(_log_uniform_pair, st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)),
+    st.builds(_boundary_pair, st.floats(-150.0, 150.0)),
+)
+
+
+def _landmarks(p):
+    """``+-0.0``, ``+-z_star``, ``z_star*(1 +- 1e-12)``, ``lam/eps`` and its neighbour doubles."""
+    out = [0.0, -0.0]
+    t = p.threshold
+    out += [t, math.nextafter(t, 0.0), math.nextafter(t, math.inf)]
+    if p.regime() is Regime.NONCONVEX:
+        zs = z_star(p).z_star
+        out += [zs, zs * (1 + 1e-12), zs * (1 - 1e-12), math.nextafter(zs, math.inf)]
+    out += [-v for v in out]
+    return [v for v in out if math.isfinite(v)]
+
+
+@given(
+    pairs_st,
+    st.lists(st.floats(0.0, 4.0), max_size=20),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=10),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_matches_scalar_componentwise(p, scales, raw, rnd):
+    # the vector pass applies the scalar rule bit for bit, -0.0 included, and reports
+    # exactly the components where prox_scalar is two-valued
+    landmarks = _landmarks(p)
+    anchor = z_star(p).z_star if p.regime() is Regime.NONCONVEX else p.threshold
+    z = landmarks + [rnd.choice((-1.0, 1.0)) * s * anchor for s in scales] + raw
+    rnd.shuffle(z)
+    res = prox_vector(p, z)
+    scalar = [prox_scalar(p, v) for v in z]
+    want = np.array([r.canonical for r in scalar])
+    assert np.array_equal(res.canonical.view(np.int64), want.view(np.int64))
+    assert res.ambiguous_indices == tuple(i for i, r in enumerate(scalar) if r.kind is ProxKind.PAIR)
 
 
 def test_objective_value_definition():

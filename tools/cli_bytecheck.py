@@ -48,10 +48,14 @@ def _matrices() -> dict[str, np.ndarray]:
     }
 
 
+# The squares of X* - Z overflow a double here under --lambda 1e308 --eps 1e-300.
+OVERFLOW = {"diag_overflow": np.diag([1e156, 2e155])}
+
+
 def _write_inputs(outdir: Path) -> list[str]:
     (outdir / "in").mkdir()
     matrices = _matrices()
-    for name, x in matrices.items():
+    for name, x in {**matrices, **OVERFLOW}.items():
         np.savetxt(outdir / "in" / f"{name}.csv", x, fmt="%.17g", delimiter=",")
         with open(outdir / "in" / f"{name}.bin", "wb") as fh:
             fh.write(np.array(x.shape, dtype="<u8").tobytes())
@@ -111,6 +115,17 @@ def _invocations(matrices: list[str]) -> list[list[str]]:
     cases.append(["prox", "--lambda", "-1", "--eps", "1", "--z", "1"])
     cases.append(["frobnicate"])
     cases.append(["--help"])
+    # appended last, so the records above keep their numbers
+    # a convex pair whose prox one double above lam/eps came out with the wrong sign
+    p_sign = ("--lambda", "0.6401025772860353", "--eps", "0.8149779273673193")
+    each_format("prox", *p_sign, "--z", "0.7854232069251297,-0.7854232069251297")
+    each_format("sweep", *p_sign, "--from", "0.785423206925129", "--to", "0.785423206925131",
+                "--points", "9")
+    each_format("sweep", *p23, "--from", "0.6666", "--to", "0.6667", "--points", "11")
+    for name in OVERFLOW:
+        for mfmt in ("csv", "bin"):
+            cases.append(["matprox", "--lambda", "1e308", "--eps", "1e-300", "--in", f"in/{name}.{mfmt}",
+                          "--out", f"out/{name}.{mfmt}", "--format", mfmt])
     return cases
 
 
