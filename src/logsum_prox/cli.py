@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 usage or input-file error, 3 regime/domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -399,8 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main reuses one parser per process: parse_args keeps no state in it
+_main_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _main_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

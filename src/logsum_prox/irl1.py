@@ -20,8 +20,8 @@ here is pure and safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DomainError, PreconditionError, RegimeError
 from .scalar import ProxParams, Regime, _roots, _z_star_cached, prox_scalar, r1, r2
@@ -76,10 +76,9 @@ class FailureCase(Enum):
     LOW_X0 = "low_x0"  # 0 <= x0 < r1(z_star)
 
 
-@dataclass(frozen=True)
-class IrlTrace:
-    """Recorded trajectory.  ``iterates[0]`` is ``x0``; each later entry is the
-    update of the one before it, bit-reproducibly."""
+class IrlTrace(NamedTuple):
+    """Recorded trajectory, as a ``NamedTuple``.  ``iterates[0]`` is ``x0``;
+    each later entry is the update of the one before it, bit-reproducibly."""
 
     z: float
     x0: float
@@ -88,9 +87,8 @@ class IrlTrace:
     limit_estimate: float
 
 
-@dataclass(frozen=True)
-class LimitPrediction:
-    """Analytic limit of the iteration.
+class LimitPrediction(NamedTuple):
+    """Analytic limit of the iteration, as a ``NamedTuple``.
 
     ``justification`` names the convergence case (``conv1``..``conv6``) that
     settles the limit.  ``classification`` is ``R1_FIXED_POINT`` only in the
@@ -103,9 +101,8 @@ class LimitPrediction:
     justification: str
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Real interval with explicit endpoint membership.
+class Interval(NamedTuple):
+    """Real interval with explicit endpoint membership, as a ``NamedTuple``.
 
     Endpoint conventions follow the failure-set statements literally;
     membership of an endpoint is not testable in floating point and is
@@ -135,11 +132,11 @@ class Interval:
         return f"{lb}{self.lower!r}, {self.upper!r}{ub}"
 
 
-@dataclass(frozen=True)
-class FailureReport:
+class FailureReport(NamedTuple):
     """Union of intervals (symmetric about 0) where the iteration limit is not
-    a global minimizer, for a given start ``x0``.  Empty in the convex regime;
-    ``z_star`` is ``None`` there."""
+    a global minimizer, for a given start ``x0``, as a ``NamedTuple``.  Empty
+    in the convex regime; ``z_star`` is ``None`` there.  ``x0`` is always a
+    ``float``."""
 
     x0: float
     z_star: float | None
@@ -213,7 +210,8 @@ def irl1_predict_limit(params: ProxParams, z: float, x0: float) -> LimitPredicti
       limit 0 if ``x0 < r1(|z|)``, the unstable fixed point ``r1(|z|)`` if
       ``x0`` equals it (within ``1e-12 * r1``), else ``r2(|z|)``.
     """
-    x0 = _check_x0(x0)
+    if not 0.0 <= x0 < math.inf:
+        _check_x0(x0)
     a = abs(z)
     s = 1.0 if z >= 0 else -1.0
     # every limit is s*magnitude, so a zero limit at negative z is -0.0
@@ -227,7 +225,7 @@ def irl1_predict_limit(params: ProxParams, z: float, x0: float) -> LimitPredicti
         lim = r2(params, a)
         return LimitPrediction(s * lim, LimitKind.R2 if lim > 0 else LimitKind.ZERO, "conv3")
     lo = params.bracket_low
-    if params.regime() is Regime.CONVEX:
+    if params._regime is Regime.CONVEX:
         return LimitPrediction(s * 0.0, LimitKind.ZERO, "conv4" if (lo > 0 and a < lo) else "conv5")
     if a < lo:
         return LimitPrediction(s * 0.0, LimitKind.ZERO, "conv4")
@@ -274,9 +272,11 @@ def failure_intervals(params: ProxParams, x0: float) -> FailureReport:
 
     The negative-side interval is the mirror image of the positive one.
     """
-    x0 = _check_x0(x0)
-    if params.regime() is Regime.CONVEX:
-        return FailureReport(x0=x0, z_star=None, intervals=(), case=FailureCase.EXACT)
+    if not 0.0 <= x0 < math.inf:
+        _check_x0(x0)
+    x0 = float(x0)
+    if params._regime is Regime.CONVEX:
+        return FailureReport(x0, None, (), FailureCase.EXACT)
     zs = _z_star_cached(params.lam, params.eps).z_star
     rs = r1(params, zs)
     # rs < x0 < top and 0 <= x0 < rs both lie inside r1_inverse's domain
@@ -292,7 +292,8 @@ def failure_intervals(params: ProxParams, x0: float) -> FailureReport:
     else:
         pos = Interval(zs, _r1_inverse(params, x0), False, True)
         case = FailureCase.LOW_X0
-    return FailureReport(x0=x0, z_star=zs, intervals=(pos.mirrored(), pos), case=case)
+    lo, hi, lo_closed, hi_closed = pos  # pos.mirrored(), without the method call
+    return FailureReport(x0, zs, (Interval(-hi, -lo, hi_closed, lo_closed), pos), case)
 
 
 def limit_matches_prox(params: ProxParams, z: float, limit: float, tol: float = 1e-8) -> bool:

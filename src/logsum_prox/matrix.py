@@ -19,7 +19,7 @@ themselves are not unique: any valid factorization gives the same
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,10 +37,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SvdFactorization:
+class SvdFactorization(NamedTuple):
     """Thin SVD: ``u (m,k)``, ``singular_values (k,)`` descending nonnegative,
-    ``v (n,k)``, with ``k = min(m, n)`` and orthonormal columns in both factors."""
+    ``v (n,k)``, with ``k = min(m, n)`` and orthonormal columns in both factors.
+    A ``NamedTuple``, like numpy's ``SVDResult``, but its third field is ``v``."""
 
     u: np.ndarray
     singular_values: np.ndarray
@@ -68,7 +68,7 @@ def svd(x) -> SvdFactorization:
     diagonalization inside LAPACK fails.
     """
     u, s, vt = _lapack_svd(_validated_matrix(x), full_matrices=False)
-    return SvdFactorization(u=u, singular_values=s, v=vt.T)
+    return SvdFactorization(u, s, vt.T)
 
 
 def _lapack_svd(x: np.ndarray, **options):
@@ -78,9 +78,8 @@ def _lapack_svd(x: np.ndarray, **options):
         raise ConvergenceError(f"SVD did not converge for shape {x.shape}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class MatrixProxResult:
-    """Canonical matrix minimizer.
+class MatrixProxResult(NamedTuple):
+    """Canonical matrix minimizer, as a ``NamedTuple``.
 
     ``d`` holds the shrunk singular values (descending, zeros for every
     value below the scalar threshold); ``ambiguous_indices`` marks singular
@@ -122,13 +121,7 @@ def prox_matrix(params: ProxParams, z) -> MatrixProxResult:
     # singular triplets only, in O(m*n*r) instead of O(m*n*k)
     r = int(np.count_nonzero(d))
     x_star = (fac.u[:, :r] * d[:r]) @ fac.v[:, :r].T
-    return MatrixProxResult(
-        x_star=x_star,
-        d=d,
-        ambiguous_indices=vec.ambiguous_indices,
-        objective_value=vec.objective_value,
-        singular_values=fac.singular_values,
-    )
+    return MatrixProxResult(x_star, d, vec.ambiguous_indices, vec.objective_value, fac.singular_values)
 
 
 def logdet_penalty(params: ProxParams, x) -> float:

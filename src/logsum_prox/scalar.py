@@ -40,6 +40,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError, RegimeError
 
@@ -123,9 +124,8 @@ class ProxKind(Enum):
     PAIR = "pair"
 
 
-@dataclass(frozen=True)
-class ProxResult:
-    """Minimizer set of ``q``: at most two points.
+class ProxResult(NamedTuple):
+    """Minimizer set of ``q``: at most two points, as a ``NamedTuple``.
 
     ``values`` holds every global minimizer.  For ``PAIR`` (which occurs
     only at ``|z| == z_star`` in the nonconvex regime) it is
@@ -146,9 +146,8 @@ class ProxResult:
         return self.kind is ProxKind.PAIR
 
 
-@dataclass(frozen=True)
-class ZStarResult:
-    """Outcome of the jump-point solve.
+class ZStarResult(NamedTuple):
+    """Outcome of the jump-point solve, as a ``NamedTuple``.
 
     ``z_star`` has a relative error of at most ``1e-14`` when
     ``c = eps/sqrt(lam) <= 0.99`` and at most ``1e-11`` for ``c`` closer to
@@ -213,7 +212,7 @@ def _below_bracket(params: ProxParams, z: float) -> DomainError:
 
 def _roots(params: ProxParams, z: float) -> tuple[float, float]:
     """``(r1(z), r2(z))``, both from one root radius."""
-    half = 0.5 * (z - params.eps)
+    half = 0.5 * z - 0.5 * params.eps  # halved first, so z - eps cannot overflow
     rad = _root_radius(params, z)
     r1_z = half - rad
     if z < params.eps:
@@ -236,7 +235,7 @@ def r2(params: ProxParams, z: float) -> float:
     ``lam/eps``.
     """
     # _roots(params, z)[1], spelled out: the prox calls r2 once per element
-    half = 0.5 * (z - params.eps)
+    half = 0.5 * z - 0.5 * params.eps
     rad = _root_radius(params, z)
     if z < params.eps:
         return _r2_by_vieta(params, z, half - rad)
@@ -333,12 +332,7 @@ def _z_star_cached(lam: float, eps: float) -> ZStarResult:
         t = t_next
     else:
         raise ConvergenceError(f"jump-point solve did not settle in 64 steps (lam={lam!r}, eps={eps!r})")
-    return ZStarResult(
-        z_star=s * (u + 1.0 / t),
-        bracket=(2.0 * s - eps, lam / eps),
-        iterations=it,
-        residual=abs(g),
-    )
+    return ZStarResult(s * (u + 1.0 / t), (2.0 * s - eps, lam / eps), it, abs(g))
 
 
 def prox_scalar(params: ProxParams, z: float) -> ProxResult:

@@ -11,7 +11,7 @@ where the scalar operator is two-valued.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,9 +28,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VectorProxResult:
-    """One canonical minimizer plus multiplicity metadata.
+class VectorProxResult(NamedTuple):
+    """One canonical minimizer plus multiplicity metadata, as a ``NamedTuple``.
 
     ``canonical`` picks the zero branch at every ambiguous component (the
     sparser minimizer).  The set of all minimizers is the Cartesian product
@@ -89,7 +88,7 @@ def _validated_vector(z) -> np.ndarray:
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.ndim != 1 or z.size < 1:
         raise PreconditionError(f"z must be a nonempty 1-d vector, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise PreconditionError("z must have finite entries")
     return z
 
@@ -104,8 +103,4 @@ def prox_vector(params: ProxParams, z) -> VectorProxResult:
     z = _validated_vector(z)
     values, ambiguous, _ = _prox_values(params, z.tolist())
     canonical = np.array(values)
-    return VectorProxResult(
-        canonical=canonical,
-        ambiguous_indices=tuple(ambiguous),
-        objective_value=vector_objective(params, canonical, z),
-    )
+    return VectorProxResult(canonical, tuple(ambiguous), vector_objective(params, canonical, z))

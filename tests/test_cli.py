@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+import logsum_prox
 from logsum_prox import (
     ProxParams,
     failure_intervals,
@@ -19,7 +24,7 @@ from logsum_prox import (
     prox_vector,
     z_star,
 )
-from logsum_prox.cli import main
+from logsum_prox.cli import build_parser, main
 from logsum_prox.matrix_io import (
     read_matrix_bin,
     read_matrix_csv,
@@ -380,6 +385,30 @@ class TestPlumbing:
         _, a, _ = run(capsys, *args)
         _, b, _ = run(capsys, *args)
         assert a == b
+
+    def test_one_process_prints_what_fresh_processes_print(self, capsys, tmp_path, monkeypatch):
+        # main reuses one parser per process; no call may see state left by another
+        np.savetxt(tmp_path / "z.csv", np.diag([5.0, 0.1, ZS31]), fmt="%.17g", delimiter=",")
+        prox = ["prox", "--lambda", "3", "--eps", "1", "--z", f"2.9,-0.5,{ZS31}", "--format", "json"]
+        sequence = [
+            (prox, 0),
+            (["matprox", "--lambda", "3", "--eps", "1", "--in", "z.csv", "--out", "x.csv"], 0),
+            (["irl1", "failures", "--lambda", "3", "--eps", "1", "--x0", "0.2"], 0),
+            (["prox", "--lambda", "3", "--z", "1"], 2),  # usage error: no --eps
+            (["irl1", "predict", "--lambda", "3", "--eps", "1", "--z", "2.9", "--x0", "-1"], 3),
+            (["--help"], 0),
+            (prox, 0),
+        ]
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+        env = {**os.environ, "PYTHONPATH": str(Path(logsum_prox.__file__).parents[1])}
+        for argv, want_code in sequence:
+            code, out, _ = run(capsys, *argv)
+            fresh = subprocess.run([sys.executable, "-m", "logsum_prox.cli", *argv], cwd=tmp_path,
+                                   env=env, capture_output=True, text=True)
+            assert code == want_code, argv
+            assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        assert build_parser() is not build_parser()
 
 
 # --- output contract: every command in every format against the library ---

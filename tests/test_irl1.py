@@ -1,6 +1,7 @@
 """Reweighted-l1 iteration: simulation, analytic limits, failure intervals."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -420,3 +421,32 @@ class TestInterval:
         assert not m.lower_closed and m.upper_closed
         assert str(iv) == "[1.0, 2.0)"
         assert str(m) == "(-2.0, -1.0]"
+
+
+class TestStartContract:
+    """Both per-call entry points check ``x0`` with one comparison and report it as a float."""
+
+    @pytest.mark.parametrize("x0", [math.nan, -1.0, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda x0: irl1_predict_limit(P31, 2.9, x0),
+        lambda x0: failure_intervals(P31, x0),
+        lambda x0: failure_intervals(P23, x0),
+    ])
+    def test_rejects_with_the_message(self, call, x0):
+        with pytest.raises(PreconditionError, match=r"^x0 must be a finite nonnegative real, got "
+                           + re.escape(repr(x0)) + "$"):
+            call(x0)
+
+    @pytest.mark.parametrize("x0, want", [(-0.0, -0.0), (1, 1.0), (np.float64(0.5), 0.5)])
+    @pytest.mark.parametrize("params", [P31, P23])
+    def test_accepts_and_reports_a_float(self, params, x0, want):
+        report = failure_intervals(params, x0)
+        assert type(report.x0) is float
+        assert math.copysign(1.0, report.x0) == math.copysign(1.0, want) and report.x0 == want
+        assert report == failure_intervals(params, float(x0))
+        assert irl1_predict_limit(params, 2.9, x0) == irl1_predict_limit(params, 2.9, float(x0))
+
+    @pytest.mark.parametrize("x0", [0.0, 0.1, r1(P31, ZS31), 0.6, SQRT3 - 1.0, 5.0])
+    def test_negative_interval_is_the_mirror(self, x0):
+        neg, pos = failure_intervals(P31, x0).intervals
+        assert neg == pos.mirrored()

@@ -3,11 +3,12 @@
 import dataclasses
 import math
 import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -170,6 +171,29 @@ class TestRoots:
             radius = mp.sqrt((mpf(z) + eps) ** 2 / 4 - lam)
             assert abs(r2(p, z) - (c + radius)) <= 1e-14 * (c + radius)
             assert abs(r1(p, z) - (c - radius)) <= 1e-14 * (c + radius)
+
+    def test_negative_z_where_z_minus_eps_overflows(self):
+        # z - eps overflows here; the roots halve each term first
+        lam, eps, z = 1e300, 1.7e308, -1e308
+        p = ProxParams(lam, eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got1, got2 = r1(p, z), r2(p, z)
+        with mp.workdps(60):
+            c = (mpf(z) - eps) / 2
+            radius = mp.sqrt((mpf(z) + eps) ** 2 / 4 - lam)
+            assert abs(got1 - (c - radius)) <= 1e-14 * abs(c - radius)  # about -1.7e308
+            assert abs(got2 - (c + radius)) <= 1e-14 * abs(c + radius)  # about -1.0e308
+
+    @given(st.floats(2.0**-1020, 1.7976931348623157e308), st.booleans(),
+           st.floats(2.0**-1020, 1.7976931348623157e308))
+    @settings(max_examples=500, deadline=None)
+    def test_halving_first_keeps_the_bits(self, a, negative, eps):
+        # above the subnormal range both halvings are exact, so 0.5*z - 0.5*eps
+        # rounds once to the same double as 0.5*(z - eps) wherever z - eps is finite
+        z = -a if negative else a
+        assume(math.isfinite(z - eps))
+        assert (0.5 * z - 0.5 * eps).hex() == (0.5 * (z - eps)).hex()
 
     def test_overflowing_square_below_bracket(self):
         p = ProxParams(1e308, 1e-300)

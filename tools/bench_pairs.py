@@ -13,7 +13,14 @@ change won (ties count for neither side), and the gap between the medians
 against the parent's interquartile range.  The calibration medians that
 ``run.py`` prints (a pure-Python loop and a numpy SVD that never call the
 library) are summarized the same way: they show whether the machine's speed
-moved during the comparison.
+moved during the comparison.  When the two sides' median ``attempted``
+counts differ, the summary also gives the memory per extra op, the change
+in median ``peak_rss_mb`` over the change in median ``attempted``: the
+harness keeps a little memory per op, so a faster library raises
+``peak_rss_mb`` by about that much per extra op with no memory of its own.
+It means something only where the op counts differ by many thousands, as
+on ``param-scan``; a few hundred extra ops leave it at the noise of
+``peak_rss_mb``.
 """
 
 from __future__ import annotations
@@ -66,6 +73,17 @@ def summarize(name: str, unit: str, parent: list[float], change: list[float], be
             f"median gap {gap:+.6g} ({better} is better) against parent IQR {iqr:.6g}")
 
 
+def memory_per_extra_op(parent: list[dict], change: list[dict]) -> str | None:
+    """``(delta median peak_rss_mb) / (delta median attempted)`` in bytes per op, if the counts differ."""
+    ops = statistics.median(r["attempted"] for r in change) - statistics.median(r["attempted"] for r in parent)
+    if ops == 0:
+        return None
+    rss = [statistics.median(r["metrics"]["peak_rss_mb"]["value"] for r in rs) for rs in (parent, change)]
+    per_op = (rss[1] - rss[0]) * 2**20 / ops  # ru_maxrss / 1024, so MB here is MiB
+    return (f"memory per extra op: {per_op:.1f} B (median peak_rss_mb {rss[1] - rss[0]:+.4g} MB "
+            f"over median attempted {ops:+g} ops)")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -93,6 +111,9 @@ def main() -> int:
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
         print(summarize(name, unit, parent, change, better.get(name)))
+    per_op = memory_per_extra_op(runs["parent"], runs["change"])
+    if per_op:
+        print(per_op)
     for key in ("py_loop_ms", "numpy_svd128_ms"):
         parent = [r["calibration"][key] for r in runs["parent"] if key in r["calibration"]]
         change = [r["calibration"][key] for r in runs["change"] if key in r["calibration"]]
