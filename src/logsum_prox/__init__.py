@@ -28,7 +28,6 @@ from .irl1 import (
     irl1_simulate,
     irl1_step,
     limit_matches_prox,
-    r1_inverse,
 )
 from .matrix import (
     MatrixProxResult,
@@ -45,7 +44,6 @@ from .scalar import (
     ProxResult,
     Regime,
     ZStarResult,
-    gap_r,
     prox_scalar,
     q_objective,
     r1,
@@ -80,7 +78,6 @@ __all__ = [
     "irl1_simulate",
     "irl1_step",
     "limit_matches_prox",
-    "r1_inverse",
     "MatrixProxResult",
     "logdet_penalty",
     "matrix_objective",
@@ -98,7 +95,6 @@ __all__ = [
     "ProxResult",
     "Regime",
     "ZStarResult",
-    "gap_r",
     "prox_scalar",
     "q_objective",
     "r1",

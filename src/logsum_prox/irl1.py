@@ -23,7 +23,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import DomainError, PreconditionError, RegimeError
+from .errors import PreconditionError
 from .scalar import ProxParams, Regime, _roots, _z_star_cached, prox_scalar, r1, r2
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "irl1_step",
     "irl1_simulate",
     "irl1_predict_limit",
-    "r1_inverse",
     "failure_intervals",
     "limit_matches_prox",
 ]
@@ -171,12 +170,18 @@ def irl1_simulate(
 
     Stops with ``FIXED_POINT_HIT`` on exact repetition, ``TOLERANCE_MET``
     once ``|x_{k+1} - x_k| <= stop_tol``, else ``MAX_ITERS``.  The limit
-    estimate is the last iterate with the sign of ``z`` restored.
+    estimate is the last iterate with the sign of ``z`` restored.  A
+    non-finite ``z`` raises ``PreconditionError``; a negative ``max_iters``
+    or ``stop_tol <= 0`` raises ``ValueError``.
     """
     x0 = _check_x0(x0)
     if not (stop_tol > 0):
         raise ValueError(f"stop_tol must be positive, got {stop_tol!r}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, got {max_iters!r}")
     a = abs(z)
+    if not a < math.inf:
+        raise PreconditionError(f"z must be finite, got {z!r}")
     iterates = [x0]
     reason = StopReason.MAX_ITERS
     x = x0
@@ -209,10 +214,14 @@ def irl1_predict_limit(params: ProxParams, z: float, x0: float) -> LimitPredicti
     * ``conv6``: nonconvex critical band ``2*sqrt(lam)-eps <= |z| < lam/eps``:
       limit 0 if ``x0 < r1(|z|)``, the unstable fixed point ``r1(|z|)`` if
       ``x0`` equals it (within ``1e-12 * r1``), else ``r2(|z|)``.
+
+    A non-finite ``z`` raises ``PreconditionError``.
     """
     if not 0.0 <= x0 < math.inf:
         _check_x0(x0)
     a = abs(z)
+    if not a < math.inf:
+        raise PreconditionError(f"z must be finite, got {z!r}")
     s = 1.0 if z >= 0 else -1.0
     # every limit is s*magnitude, so a zero limit at negative z is -0.0
     if a == 0.0:
@@ -237,38 +246,17 @@ def irl1_predict_limit(params: ProxParams, z: float, x0: float) -> LimitPredicti
     return LimitPrediction(s * r2a, LimitKind.R2, "conv6")
 
 
-def r1_inverse(params: ProxParams, x0: float) -> float:
-    """The unique ``z >= 2*sqrt(lam)-eps`` with ``r1(z) == x0``.
-
-    Closed form ``x0 + lam/(eps + x0)``, from solving the stationarity
-    equation for ``z``.  Defined in the nonconvex regime for
-    ``x0 in (-eps, sqrt(lam)-eps]``, which is the exact range of ``r1`` on
-    the bracket (in particular it covers every ``x0 >= 0``).
-    """
-    if params.regime() is Regime.CONVEX:
-        raise RegimeError("r1 is invertible on the critical band only when sqrt(lam) > eps")
-    hi = params.r1_max
-    if x0 > hi:
-        raise DomainError(f"x0={x0!r} exceeds the maximum of r1, sqrt(lam)-eps={hi!r}")
-    if x0 <= -params.eps:
-        raise DomainError(f"x0={x0!r} is below the infimum of r1, -eps={-params.eps!r}")
-    return _r1_inverse(params, x0)
-
-
-def _r1_inverse(params: ProxParams, x0: float) -> float:
-    return x0 + params.lam / (params.eps + x0)
-
-
 def failure_intervals(params: ProxParams, x0: float) -> FailureReport:
     """Exact inputs ``z`` on which the iteration limit misses the true prox.
 
     Convex regime: the iteration is always exact and the list is empty.
-    Nonconvex regime, with ``rs = r1(z_star)`` and ``top = sqrt(lam)-eps``:
+    Nonconvex regime, with ``rs = r1(z_star)``, ``top = sqrt(lam)-eps`` and
+    ``zx = x0 + lam/(eps + x0)``, the ``z`` on the bracket with ``r1(z) == x0``:
 
     * ``x0 >= top``:            fails on +/- [2*sqrt(lam)-eps, z_star)
-    * ``rs < x0 < top``:        fails on +/- [r1_inverse(x0), z_star)
+    * ``rs < x0 < top``:        fails on +/- [zx, z_star)
     * ``x0 == rs`` (within ``1e-12 * rs``): fails exactly at +/- z_star
-    * ``0 <= x0 < rs``:         fails on +/- (z_star, r1_inverse(x0)]
+    * ``0 <= x0 < rs``:         fails on +/- (z_star, zx]
 
     The negative-side interval is the mirror image of the positive one.
     """
@@ -279,7 +267,6 @@ def failure_intervals(params: ProxParams, x0: float) -> FailureReport:
         return FailureReport(x0, None, (), FailureCase.EXACT)
     zs = _z_star_cached(params.lam, params.eps).z_star
     rs = r1(params, zs)
-    # rs < x0 < top and 0 <= x0 < rs both lie inside r1_inverse's domain
     if x0 >= params.r1_max:
         pos = Interval(params.bracket_low, zs, True, False)
         case = FailureCase.HIGH_X0
@@ -287,10 +274,10 @@ def failure_intervals(params: ProxParams, x0: float) -> FailureReport:
         pos = Interval(zs, zs, True, True)
         case = FailureCase.KNIFE_EDGE_X0
     elif x0 > rs:
-        pos = Interval(_r1_inverse(params, x0), zs, True, False)
+        pos = Interval(x0 + params.lam / (params.eps + x0), zs, True, False)
         case = FailureCase.MID_X0
     else:
-        pos = Interval(zs, _r1_inverse(params, x0), False, True)
+        pos = Interval(zs, x0 + params.lam / (params.eps + x0), False, True)
         case = FailureCase.LOW_X0
     lo, hi, lo_closed, hi_closed = pos  # pos.mirrored(), without the method call
     return FailureReport(x0, zs, (Interval(-hi, -lo, hi_closed, lo_closed), pos), case)

@@ -37,8 +37,9 @@ __all__ = [
     "oracle_z_star",
 ]
 
-# Fixed zoom of the refinement window per round.
+# Fixed zoom of the refinement window per round, and the number of rounds.
 _ZOOM = 100.0
+_REFINE_ROUNDS = 3
 
 # Two refined basins closer than this in objective value count as a tie
 # (expected only at inputs sitting essentially on the jump point).
@@ -49,29 +50,20 @@ _NEAR_TIE_GAP = 1e-12
 class OracleConfig:
     """Grid-search budget.
 
-    The initial grid spans ``[-R, R]`` with
-    ``R = search_radius_factor * |z| + 1``; each refinement round shrinks
-    the window 100x around the incumbent and re-grids it with the same
-    number of points.
+    The initial grid spans ``[-R, R]`` with ``R = |z| + 1``; each of the
+    three refinement rounds shrinks the window 100x around the incumbent
+    and re-grids it with the same number of points.
     """
 
     grid_points: int = 2_000_000
-    search_radius_factor: float = 1.0
-    refine_rounds: int = 3
 
     def __post_init__(self):
         if self.grid_points < 1000:
             raise ValueError(f"grid_points must be >= 1000, got {self.grid_points}")
-        if self.refine_rounds < 1:
-            raise ValueError(f"refine_rounds must be >= 1, got {self.refine_rounds}")
-        if not (self.search_radius_factor > 0):
-            raise ValueError(
-                f"search_radius_factor must be positive, got {self.search_radius_factor}"
-            )
 
     def final_spacing(self, z: float) -> float:
-        radius = self.search_radius_factor * abs(z) + 1.0
-        return 2.0 * radius / _ZOOM**self.refine_rounds / (self.grid_points - 1)
+        radius = abs(z) + 1.0
+        return 2.0 * radius / _ZOOM**_REFINE_ROUNDS / (self.grid_points - 1)
 
 
 @dataclass(frozen=True)
@@ -103,7 +95,7 @@ def oracle_prox_info(params: ProxParams, z: float, cfg: OracleConfig | None = No
     """Grid minimizer of the scalar objective, with resolution metadata."""
     if cfg is None:
         cfg = OracleConfig()
-    radius = cfg.search_radius_factor * abs(z) + 1.0
+    radius = abs(z) + 1.0
     lo, hi = -radius, radius
     grid = np.append(np.linspace(lo, hi, cfg.grid_points), 0.0)
     q = _q_values(params, z, grid)
@@ -120,7 +112,7 @@ def oracle_prox_info(params: ProxParams, z: float, cfg: OracleConfig | None = No
     refined: list[float] = []
     for seed in seeds:
         span, x = span0, seed
-        for _ in range(cfg.refine_rounds):
+        for _ in range(_REFINE_ROUNDS):
             span /= _ZOOM
             # keep the incumbent in the candidate set so a refinement round
             # can never move to a worse point; each seed stays in its own

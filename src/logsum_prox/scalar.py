@@ -13,7 +13,7 @@ factors through the two roots of a quadratic,
 and the minimizer set is either {0}, {sgn(z)*r2(|z|)}, or - in the
 nonconvex regime, at exactly one magnitude ``z_star`` - the two-point set
 {0, sgn(z)*r2(z_star)}.  ``z_star`` is the unique root of the tie gap
-``gap_r(z) = q(r2(z)) - q(0)`` on [2*sqrt(lam)-eps, lam/eps].
+``q(r2(z)) - q(0)`` on [2*sqrt(lam)-eps, lam/eps].
 
 The operator is scale covariant: with ``s = sqrt(lam)`` and ``c = eps/s``,
 ``prox(lam, eps; z) = s*prox(1, c; z/s)``, so ``z_star = s*Z(c)`` is a
@@ -42,7 +42,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import ConvergenceError, DomainError, RegimeError
+from .errors import ConvergenceError, DomainError, PreconditionError, RegimeError
 
 __all__ = [
     "Regime",
@@ -53,7 +53,6 @@ __all__ = [
     "q_objective",
     "r1",
     "r2",
-    "gap_r",
     "z_star",
     "prox_scalar",
 ]
@@ -260,23 +259,6 @@ def _r2_by_vieta(params: ProxParams, z: float, r1_z: float) -> float:
     return ((ln * zd * ed - zn * en * ld) * rd) / (ld * zd * ed * rn)
 
 
-def gap_r(params: ProxParams, z: float) -> float:
-    """Tie gap ``q(r2(z)) - q(0)`` whose unique root is the jump point.
-
-    Defined for the nonconvex regime on ``[2*sqrt(lam)-eps, lam/eps]``;
-    positive at the left endpoint and negative at the right one.
-    """
-    if params._regime is Regime.CONVEX:
-        raise RegimeError(
-            f"gap function needs sqrt(lam) > eps; got lam={params.lam}, eps={params.eps}"
-        )
-    lo, hi = params.bracket_low, params.threshold
-    slack = 1e-12 * hi  # hi >= lo > 0 in this regime
-    if not (lo - slack <= z <= hi + slack):
-        raise DomainError(f"z={z!r} outside the bracket [{lo!r}, {hi!r}]")
-    return q_objective(params, z, r2(params, z)) - q_objective(params, z, 0.0)
-
-
 def z_star(params: ProxParams) -> ZStarResult:
     """Locate the prox jump point; see :class:`ZStarResult` for its accuracy.
 
@@ -345,7 +327,11 @@ def prox_scalar(params: ProxParams, z: float) -> ProxResult:
     Nonconvex regime: ``{0}`` for ``|z| < z_star``,
     ``{0, sgn(z) * r2(z_star)}`` for ``|z|`` within ``1e-12 * z_star`` of
     ``z_star``, else ``{sgn(z) * r2(|z|)}``.
+
+    Raises ``PreconditionError`` for a non-finite ``z``.
     """
+    if not abs(z) < math.inf:
+        raise PreconditionError(f"z must be finite, got {z!r}")
     (value,), pairs, jump = _prox_values(params, [z])
     if pairs:
         other = r2(params, jump)

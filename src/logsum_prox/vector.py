@@ -59,15 +59,11 @@ def _logsum_penalty(params: ProxParams, x: np.ndarray) -> float:
     return total
 
 
+@np.errstate(over="ignore")  # overflowing squares or quotients are redone, not reported
 def vector_objective(params: ProxParams, x: np.ndarray, z: np.ndarray) -> float:
     """``||x - z||^2 / (2*lam) + logsum_penalty(x)``."""
     x = np.asarray(x, dtype=float)
-    return _objective(params, x, x - np.asarray(z, dtype=float))
-
-
-@np.errstate(over="ignore")  # overflowing squares or quotients are redone, not reported
-def _objective(params: ProxParams, x: np.ndarray, d: np.ndarray) -> float:
-    return _half_square(params, d) + _logsum_penalty(params, x)
+    return _half_square(params, x - np.asarray(z, dtype=float)) + _logsum_penalty(params, x)
 
 
 def _half_square(params: ProxParams, d: np.ndarray) -> float:

@@ -18,7 +18,6 @@ from logsum_prox import (
     ProxParams,
     Regime,
     failure_intervals,
-    gap_r,
     irl1_predict_limit,
     irl1_simulate,
     limit_matches_prox,
@@ -38,6 +37,11 @@ from logsum_prox.matrix_io import read_matrix_csv, write_matrix_csv
 
 P31 = ProxParams(3.0, 1.0)
 ZS31 = z_star(P31).z_star
+
+
+def tie_gap(p, z):
+    """The tie gap ``q(r2(z)) - q(0)`` in z-units; its unique root is the jump point."""
+    return q_objective(p, z, r2(p, z)) - q_objective(p, z, 0.0)
 
 
 @contextmanager
@@ -83,7 +87,7 @@ def _sample_triples(rng, n):
 def test_criterion_1_oracle_equivalence():
     with criterion(1, "closed-form prox matches the grid oracle over 1e4 triples"):
         rng = np.random.default_rng(101)
-        cfg = OracleConfig(grid_points=10_001, refine_rounds=3)
+        cfg = OracleConfig(grid_points=10_001)
         triples = _sample_triples(rng, 10_000)
         worst = 0.0
         for p, z in triples:
@@ -102,18 +106,18 @@ def test_criterion_2_jump_point_landmarks():
         res = z_star(P31)
         lo, hi = 2.0 * math.sqrt(3.0) - 1.0, 3.0
         assert lo < res.z_star < hi
-        grid = oracle_z_star(P31, OracleConfig(grid_points=20_001, refine_rounds=3))
+        grid = oracle_z_star(P31, OracleConfig(grid_points=20_001))
         assert abs(grid - res.z_star) <= 1e-6
         d = 1e-6
-        assert gap_r(P31, res.z_star - d) > 0.0 > gap_r(P31, res.z_star + d)
+        assert tie_gap(P31, res.z_star - d) > 0.0 > tie_gap(P31, res.z_star + d)
         # endpoint values against independent closed forms (direct reduction
         # of q(r2) - q(0) at each endpoint)
         lam, eps = 3.0, 1.0
         sq = math.sqrt(lam)
         left = -math.log(eps / sq) + (2.0 * eps / sq - eps**2 / (2.0 * lam) - 1.5)
         right = eps**2 / (2.0 * lam) + math.log(lam / eps**2) - lam / (2.0 * eps**2)
-        assert abs(gap_r(P31, lo) - left) <= 1e-12
-        assert abs(gap_r(P31, hi) - right) <= 1e-12
+        assert abs(tie_gap(P31, lo) - left) <= 1e-12
+        assert abs(tie_gap(P31, hi) - right) <= 1e-12
         assert left > 0.0 > right
 
 

@@ -192,6 +192,27 @@ class TestIrl1Command:
             inside = 2.0 * math.sqrt(3.0) - 1.0 <= z < ZS31
             assert agree == ("false" if inside else "true")
 
+    @pytest.mark.parametrize("z", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [("predict",), ("simulate", "--max-iters", "10")])
+    def test_nonfinite_z_exits_3(self, capsys, argv, z):
+        code, out, err = run(capsys, "irl1", *argv, "--lambda", "3", "--eps", "1",
+                             f"--z={z}", "--x0", "1")
+        assert code == 3 and out == ""
+        assert err == f"error: z must be finite, got {z}\n"
+
+    @pytest.mark.parametrize("sweep", ["nan:3:3", "0:inf:3"])
+    def test_failures_nonfinite_sweep_exits_3(self, capsys, sweep):
+        code, out, err = run(capsys, "irl1", "failures", "--lambda", "3", "--eps", "1",
+                             "--x0", "1", "--sweep", sweep)
+        assert code == 3 and out == ""
+        assert err == "error: z must be finite, got nan\n"
+
+    def test_simulate_negative_max_iters_exits_2(self, capsys):
+        code, out, err = run(capsys, "irl1", "simulate", "--lambda", "3", "--eps", "1",
+                             "--z", "2.5", "--x0", "2", "--max-iters", "-3")
+        assert code == 2 and out == ""
+        assert err == "error: max_iters must be nonnegative, got -3\n"
+
 
 class TestSweepCommand:
     def test_flat_zero_region_convex(self, capsys):

@@ -9,14 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logsum_prox import (
-    DomainError,
     FailureCase,
     Interval,
     LimitKind,
     PreconditionError,
     ProxParams,
     Regime,
-    RegimeError,
     StopReason,
     failure_intervals,
     irl1_predict_limit,
@@ -25,7 +23,6 @@ from logsum_prox import (
     limit_matches_prox,
     prox_scalar,
     r1,
-    r1_inverse,
     r2,
     z_star,
 )
@@ -49,6 +46,13 @@ class TestStep:
 
 
 class TestSimulate:
+    def test_negative_max_iters_rejected(self):
+        with pytest.raises(ValueError, match=r"^max_iters must be nonnegative, got -3$"):
+            irl1_simulate(P31, 2.5, 2.0, max_iters=-3)
+        trace = irl1_simulate(P31, 2.5, 2.0, max_iters=0)
+        assert trace.iterates == (2.0,) and trace.stop_reason is StopReason.MAX_ITERS
+        assert trace.limit_estimate == 2.0
+
     def test_converges_to_r2_from_above(self):
         trace = irl1_simulate(P31, 2.5, 2.0)
         assert trace.stop_reason is StopReason.TOLERANCE_MET
@@ -294,6 +298,11 @@ class TestPredictCaseTable:
         assert got.limit == limit and math.copysign(1.0, got.limit) == math.copysign(1.0, limit)
 
 
+def r1_inverse(p, x0):
+    """The ``z`` on the bracket with ``r1(z) == x0``, which bounds the failure intervals."""
+    return x0 + p.lam / (p.eps + x0)
+
+
 class TestR1Inverse:
     def test_maximum_of_r1(self):
         got = r1_inverse(P31, SQRT3 - 1.0)
@@ -309,14 +318,6 @@ class TestR1Inverse:
 
     def test_consistency_with_jump_point(self):
         assert r1_inverse(P31, r1(P31, ZS31)) == pytest.approx(ZS31, abs=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            r1_inverse(P31, SQRT3 - 1.0 + 1e-9)
-        with pytest.raises(DomainError):
-            r1_inverse(P31, -1.0)
-        with pytest.raises(RegimeError):
-            r1_inverse(P23, 0.0)
 
     def test_lower_bound_on_r1(self):
         # lam/z - eps < r1(z) on the critical band
@@ -450,3 +451,19 @@ class TestStartContract:
     def test_negative_interval_is_the_mirror(self, x0):
         neg, pos = failure_intervals(P31, x0).intervals
         assert neg == pos.mirrored()
+
+
+class TestZContract:
+    """The scalar entry points reject a non-finite ``z``, as ``prox_vector`` does."""
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda z: irl1_predict_limit(P31, z, 1.0),
+        lambda z: irl1_predict_limit(P31, z, 0.0),
+        lambda z: irl1_predict_limit(P23, z, 1.0),
+        lambda z: irl1_simulate(P31, z, 1.0, max_iters=10),
+        lambda z: irl1_simulate(P23, z, 0.0, max_iters=10),
+    ], ids=["predict-31", "predict-31-x0=0", "predict-23", "simulate-31", "simulate-23"])
+    def test_rejects_with_the_message(self, call, z):
+        with pytest.raises(PreconditionError, match=r"^z must be finite, got " + re.escape(repr(z)) + "$"):
+            call(z)

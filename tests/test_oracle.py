@@ -18,7 +18,7 @@ from logsum_prox import (
 P31 = ProxParams(3.0, 1.0)
 P23 = ProxParams(2.0, 3.0)
 
-LIGHT = OracleConfig(grid_points=20_001, refine_rounds=3)
+LIGHT = OracleConfig(grid_points=20_001)
 Z_STAR_31 = 2.571083193225166
 
 
@@ -26,20 +26,14 @@ class TestConfig:
     def test_defaults(self):
         cfg = OracleConfig()
         assert cfg.grid_points == 2_000_000
-        assert cfg.refine_rounds == 3
-        assert cfg.search_radius_factor == 1.0
 
-    @pytest.mark.parametrize("kwargs", [
-        {"grid_points": 999},
-        {"refine_rounds": 0},
-        {"search_radius_factor": 0.0},
-    ])
+    @pytest.mark.parametrize("kwargs", [{"grid_points": 999}])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             OracleConfig(**kwargs)
 
     def test_final_spacing(self):
-        cfg = OracleConfig(grid_points=20_001, refine_rounds=3)
+        cfg = OracleConfig(grid_points=20_001)
         assert cfg.final_spacing(2.9) == pytest.approx(2 * 3.9 / 1e6 / 20_000, rel=1e-12)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import threading
 import warnings
 from fractions import Fraction
@@ -14,12 +15,12 @@ from mpmath import mp, mpf
 
 from logsum_prox import (
     DomainError,
+    PreconditionError,
     ProxKind,
     ProxParams,
     Regime,
     RegimeError,
     failure_intervals,
-    gap_r,
     prox_scalar,
     q_objective,
     r1,
@@ -42,6 +43,12 @@ Q_31_27_15 = 1.156290731874155
 R1_31_2577 = 0.3427060453527886
 R2_23_5 = 1.0 + math.sqrt(14.0)
 PROX_31_29 = 1.8458236433584458
+
+
+def tie_gap(p, z):
+    """The tie gap ``q(r2(z)) - q(0)`` in z-units; its unique root is the jump point."""
+    return q_objective(p, z, r2(p, z)) - q_objective(p, z, 0.0)
+
 
 params_st = st.builds(
     ProxParams,
@@ -272,13 +279,15 @@ class TestRoots:
 
 
 class TestGapR:
+    """The tie gap in z-units, ``tie_gap`` above, on the closed-form ``r2``."""
+
     def test_left_endpoint_closed_form(self):
         lam, eps = 3.0, 1.0
         # direct evaluation of q(r2)-q(0) at the left endpoint reduces to this
         closed = -math.log(eps / math.sqrt(lam)) + (
             2.0 * eps / math.sqrt(lam) - eps**2 / (2.0 * lam) - 1.5
         )
-        got = gap_r(P31, P31.bracket_low)
+        got = tie_gap(P31, P31.bracket_low)
         assert got == pytest.approx(closed, abs=1e-12)
         assert got == pytest.approx(GAP_LEFT_31, abs=1e-12)
         assert got > 0.0
@@ -286,7 +295,7 @@ class TestGapR:
     def test_right_endpoint_closed_form(self):
         lam, eps = 3.0, 1.0
         closed = eps**2 / (2.0 * lam) + math.log(lam / eps**2) - lam / (2.0 * eps**2)
-        got = gap_r(P31, P31.threshold)
+        got = tie_gap(P31, P31.threshold)
         assert got == pytest.approx(closed, abs=1e-12)
         assert got == pytest.approx(GAP_RIGHT_31, abs=1e-12)
         assert got < 0.0
@@ -297,20 +306,12 @@ class TestGapR:
         sq = math.sqrt(lam)
         left = -math.log(eps / sq) + (2.0 * eps / sq - eps**2 / (2.0 * lam) - 1.5)
         right = eps**2 / (2.0 * lam) + math.log(lam / eps**2) - lam / (2.0 * eps**2)
-        assert gap_r(p, p.bracket_low) == pytest.approx(left, abs=1e-12 * max(1.0, abs(left)))
-        assert gap_r(p, p.threshold) == pytest.approx(right, abs=1e-12 * max(1.0, abs(right)))
-        assert gap_r(p, p.bracket_low) > 0.0 > gap_r(p, p.threshold)
+        assert tie_gap(p, p.bracket_low) == pytest.approx(left, abs=1e-12 * max(1.0, abs(left)))
+        assert tie_gap(p, p.threshold) == pytest.approx(right, abs=1e-12 * max(1.0, abs(right)))
+        assert tie_gap(p, p.bracket_low) > 0.0 > tie_gap(p, p.threshold)
 
     def test_nearly_zero_at_jump_point(self):
-        assert abs(gap_r(P31, Z_STAR_31)) < 1e-12
-
-    def test_regime_and_domain_errors(self):
-        with pytest.raises(RegimeError):
-            gap_r(P23, 0.5)
-        with pytest.raises(DomainError):
-            gap_r(P31, 2.0)
-        with pytest.raises(DomainError):
-            gap_r(P31, 3.5)
+        assert abs(tie_gap(P31, Z_STAR_31)) < 1e-12
 
 
 class TestZStar:
@@ -337,7 +338,7 @@ class TestZStar:
         res = z_star(p)
         assert 3.0 < res.z_star < 4.0
         d = 1e-4
-        assert gap_r(p, res.z_star - d) > 0.0 > gap_r(p, res.z_star + d)
+        assert tie_gap(p, res.z_star - d) > 0.0 > tie_gap(p, res.z_star + d)
 
     def test_regime_error(self):
         with pytest.raises(RegimeError):
@@ -445,6 +446,12 @@ class TestZStarAccuracy:
 
 
 class TestProxScalar:
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("params", [P31, P23])
+    def test_rejects_nonfinite_z(self, params, z):
+        with pytest.raises(PreconditionError, match=r"^z must be finite, got " + re.escape(repr(z)) + "$"):
+            prox_scalar(params, z)
+
     def test_convex_zero_region(self):
         res = prox_scalar(P23, 0.5)
         assert res.kind is ProxKind.ZERO and res.values == (0.0,)

@@ -126,6 +126,13 @@ def _invocations(matrices: list[str]) -> list[list[str]]:
         for mfmt in ("csv", "bin"):
             cases.append(["matprox", "--lambda", "1e308", "--eps", "1e-300", "--in", f"in/{name}.{mfmt}",
                           "--out", f"out/{name}.{mfmt}", "--format", mfmt])
+    # a non-finite z, and a negative iteration cap, are errors
+    for z in ("nan", "inf", "-inf"):
+        cases.append(["irl1", "predict", *p31, f"--z={z}", "--x0", "1"])
+        cases.append(["irl1", "simulate", *p31, f"--z={z}", "--x0", "1"])
+    for sweep in ("nan:3:3", "0:inf:3"):
+        cases.append(["irl1", "failures", *p31, "--x0", "1", "--sweep", sweep])
+    cases.append(["irl1", "simulate", *p31, "--z", "2.5", "--x0", "2", "--max-iters", "-3"])
     return cases
 
 
