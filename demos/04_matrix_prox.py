@@ -8,10 +8,14 @@ invariant to rotations of the input.
 Run:  python3 demos/04_matrix_prox.py
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from logsum_prox import (
     ProxParams,
+    cli,
     logdet_penalty,
     matrix_objective,
     prox_matrix,
@@ -61,10 +65,10 @@ print(f"via Gram eigenvalues    = {via_eigs:.12f}")
 # File IO used by the command line tool (same formats, library level).
 ############################################################################
 
-write_matrix_csv("/tmp/demo_matrix_in.csv", noisy)
-back = read_matrix_csv("/tmp/demo_matrix_in.csv")
-print(f"\nCSV round-trip exact: {np.array_equal(back, noisy)}")
-write_matrix_csv("/tmp/demo_matrix_out.csv", res.x_star)
-print("wrote /tmp/demo_matrix_in.csv and /tmp/demo_matrix_out.csv; try:")
-print("  logsum-prox matprox --lambda 3 --eps 1 "
-      "--in /tmp/demo_matrix_in.csv --out /tmp/demo_matrix_cli.csv")
+with tempfile.TemporaryDirectory() as tmp:
+    src, dst = Path(tmp, "in.csv"), Path(tmp, "out.csv")
+    write_matrix_csv(src, noisy)
+    print(f"\nCSV round-trip exact: {np.array_equal(read_matrix_csv(src), noisy)}")
+    # the same as: logsum-prox matprox --lambda 3 --eps 1 --in in.csv --out out.csv
+    cli.main(["matprox", "--lambda", "3", "--eps", "1", "--in", str(src), "--out", str(dst)])
+    print(f"CLI output equals prox_matrix: {np.array_equal(read_matrix_csv(dst), res.x_star)}")

@@ -24,19 +24,9 @@ import sys
 import numpy as np
 
 from . import matrix_io
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    MatrixFormatError,
-    PreconditionError,
-    RegimeError,
-)
-from .irl1 import (
-    failure_intervals,
-    irl1_predict_limit,
-    irl1_simulate,
-    limit_matches_prox,
-)
+from .errors import ConvergenceError, DomainError, MatrixFormatError, PreconditionError, RegimeError
+from .irl1 import (DEFAULT_MAX_ITERS, DEFAULT_STOP_TOL, failure_intervals, irl1_predict_limit,
+                   irl1_simulate, limit_matches_prox)
 from .matrix import prox_matrix
 from .scalar import ProxParams, Regime, prox_scalar, r2, z_star
 from .vector import prox_vector
@@ -65,6 +55,24 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a comma-separated list of reals"
         ) from None
+
+
+def _point_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 point, got {text!r}")
+    return n
+
+
+def _grid(start: float, stop: float, n: int) -> np.ndarray:
+    """``n`` evenly spaced points from ``start`` to ``stop``, both of which must be finite."""
+    for bound in (start, stop):
+        if not math.isfinite(bound):
+            raise PreconditionError(f"grid bounds must be finite, got {bound!r}")
+    return np.linspace(start, stop, n)
 
 
 def _sweep_spec(text: str) -> tuple[float, float, int]:
@@ -242,8 +250,7 @@ def cmd_irl1_failures(args) -> int:
     report = failure_intervals(params, args.x0)
     sweep_rows = []
     if args.sweep is not None:
-        a, b, n = args.sweep
-        for z in np.linspace(a, b, n):
+        for z in _grid(*args.sweep):
             z = float(z)
             limit = irl1_predict_limit(params, z, args.x0).limit
             true = prox_scalar(params, z).canonical
@@ -296,7 +303,7 @@ def cmd_irl1_failures(args) -> int:
 
 def cmd_sweep(args) -> int:
     params = _params(args)
-    grid = np.linspace(args.start, args.stop, args.points)
+    grid = _grid(args.start, args.stop, args.points)
     res = prox_vector(params, grid)
     rows = list(zip(grid.tolist(), res.canonical.tolist()))
     if res.ambiguous_indices:
@@ -363,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ps, fmt_choices=("csv", "text", "json"))
     ps.add_argument("--z", type=float, required=True)
     ps.add_argument("--x0", type=float, required=True)
-    ps.add_argument("--tol", type=_positive_float, default=1e-12, help="stop tolerance")
-    ps.add_argument("--max-iters", type=int, default=10**6)
+    ps.add_argument("--tol", type=_positive_float, default=DEFAULT_STOP_TOL, help="stop tolerance")
+    ps.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
     ps.set_defaults(func=cmd_irl1_simulate)
 
     pp = isub.add_parser("predict", help="analytic limit of the iteration")
@@ -384,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, fmt_choices=("csv", "text", "json"))
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
-    p.add_argument("--points", type=int, required=True)
+    p.add_argument("--points", type=_point_count, required=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("matprox", help="matrix prox via singular values")

@@ -1,5 +1,8 @@
 """Exception types shared across the library."""
 
+__all__ = ["LogSumProxError", "DomainError", "RegimeError", "ConvergenceError", "PreconditionError",
+           "MatrixFormatError"]
+
 
 class LogSumProxError(Exception):
     """Base class for all errors raised by this package."""

@@ -34,8 +34,6 @@ __all__ = [
     "LimitPrediction",
     "Interval",
     "FailureReport",
-    "DEFAULT_STOP_TOL",
-    "DEFAULT_MAX_ITERS",
     "irl1_step",
     "irl1_simulate",
     "irl1_predict_limit",

@@ -28,7 +28,6 @@ from .scalar import ProxParams
 from .vector import _half_square, logsum_penalty, prox_vector
 
 __all__ = [
-    "SvdFactorization",
     "MatrixProxResult",
     "svd",
     "prox_matrix",
@@ -99,8 +98,8 @@ def matrix_objective(params: ProxParams, x, z) -> float:
     """``||x - z||_F^2 / (2*lam) + logdet_penalty(x)``, finite wherever the true value is."""
     x = _validated_matrix(x)
     z = _validated_matrix(z)
-    with np.errstate(over="ignore"):  # overflowing squares are redone, not reported
-        quad = _half_square(params, (x - z).ravel())
+    with np.errstate(over="ignore"):  # overflowing differences or squares are redone, not reported
+        quad = _half_square(params, x, z)
     return quad + logdet_penalty(params, x)
 
 

@@ -27,14 +27,7 @@ import numpy as np
 
 from .errors import MatrixFormatError
 
-__all__ = [
-    "read_matrix_csv",
-    "write_matrix_csv",
-    "read_matrix_bin",
-    "write_matrix_bin",
-    "read_matrix",
-    "write_matrix",
-]
+__all__ = ["read_matrix", "write_matrix"]
 
 _HEADER = struct.Struct("<QQ")
 

@@ -59,23 +59,26 @@ def _logsum_penalty(params: ProxParams, x: np.ndarray) -> float:
     return total
 
 
-@np.errstate(over="ignore")  # overflowing squares or quotients are redone, not reported
+@np.errstate(over="ignore")  # overflowing differences, squares or quotients are redone, not reported
 def vector_objective(params: ProxParams, x: np.ndarray, z: np.ndarray) -> float:
     """``||x - z||^2 / (2*lam) + logsum_penalty(x)``."""
     x = np.asarray(x, dtype=float)
-    return _half_square(params, x - np.asarray(z, dtype=float)) + _logsum_penalty(params, x)
+    return _half_square(params, x, np.asarray(z, dtype=float)) + _logsum_penalty(params, x)
 
 
-def _half_square(params: ProxParams, d: np.ndarray) -> float:
-    """``||d||^2 / (2*lam)`` of a 1-d float array, finite wherever the true value is.
+def _half_square(params: ProxParams, x: np.ndarray, z: np.ndarray) -> float:
+    """``||x - z||^2 / (2*lam)`` of float arrays, finite wherever the true value is.
 
     The caller ignores overflow in ``np.errstate``.
     """
+    d = x - z
     quad = float((d * d).sum()) / params.lam
-    if quad == math.inf and np.all(np.isfinite(d)):  # the squares overflowed, the quotient need not
-        m = float(np.max(np.abs(d)))
-        u = d / m
-        quad = float(np.sum(u * u)) * (m / params.lam) * m
+    if quad == math.inf:
+        h = 0.5 * x - 0.5 * z  # d/2, finite wherever x and z are, even where d overflowed
+        if np.all(np.isfinite(h)):  # the squares or d overflowed, the quotient need not
+            m = float(np.max(np.abs(h)))
+            u = h / m
+            return 2.0 * (float(np.sum(u * u)) * (m / params.lam) * m)
     # halved after the division (exact above the subnormal range), so 2*lam cannot overflow
     return 0.5 * quad
 

@@ -205,7 +205,24 @@ class TestIrl1Command:
         code, out, err = run(capsys, "irl1", "failures", "--lambda", "3", "--eps", "1",
                              "--x0", "1", "--sweep", sweep)
         assert code == 3 and out == ""
-        assert err == "error: z must be finite, got nan\n"
+        bound = "nan" if sweep.startswith("nan") else "inf"
+        assert err == f"error: grid bounds must be finite, got {bound}\n"
+
+    @pytest.mark.parametrize("lam, eps, z, x0", [
+        ("1e12", "1", "999999000000", "5e-7"),
+        ("1e12", "1", "999999000000", "2e-6"),
+        ("1e20", "1e-2", repr(1e22 * (1 - 1e-6)), "5e-9"),
+        ("1e20", "1e-2", repr(1e22 * (1 - 1e-6)), "2e-8"),
+    ])
+    def test_predict_agrees_with_simulate_near_threshold(self, capsys, lam, eps, z, x0):
+        # x0 is half or twice r1(z), which (z - eps)/2 - sqrt(...) cancels to 0 here
+        args = ("--lambda", lam, "--eps", eps, "--z", z, "--x0", x0, "--format", "json")
+        code, out, _ = run(capsys, "irl1", "predict", *args)
+        assert code == 0
+        predicted = json.loads(out)["limit"]
+        code, out, _ = run(capsys, "irl1", "simulate", *args)
+        assert code == 0
+        assert predicted == pytest.approx(json.loads(out)["limit_estimate"], rel=1e-9, abs=0.0)
 
     def test_simulate_negative_max_iters_exits_2(self, capsys):
         code, out, err = run(capsys, "irl1", "simulate", "--lambda", "3", "--eps", "1",
@@ -250,7 +267,14 @@ class TestSweepCommand:
         code, out, err = run(capsys, "sweep", "--lambda", "3", "--eps", "1",
                              "--from", bounds[0], "--to", bounds[1], "--points", "3")
         assert code == 3 and out == ""
-        assert err == "error: z must have finite entries\n"
+        assert err == "error: grid bounds must be finite, got nan\n"
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_fewer_than_one_point_is_a_usage_error(self, capsys, points):
+        code, out, err = run(capsys, "sweep", "--lambda", "3", "--eps", "1",
+                             "--from", "0", "--to", "1", "--points", points)
+        assert code == 2 and out == ""
+        assert f"argument --points: need at least 1 point, got '{points}'" in err
 
     def test_byte_determinism(self, capsys):
         args = ("sweep", "--lambda", "3", "--eps", "1",

@@ -148,6 +148,19 @@ class TestProxMatrix:
             matrix_objective(P23, res.x_star, z), abs=1e-12
         )
 
+    def test_objective_where_the_difference_overflows(self):
+        # X - Z overflows a double in its first entry; the objective does not
+        p = ProxParams(1.7e308, 1.0)
+        x, z = np.diag([1e308, 0.5]), np.diag([-1e308, 0.25])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = matrix_objective(p, x, z)
+        with mp.workdps(60):
+            lam, eps = mpf(p.lam), mpf(p.eps)
+            want = sum((mpf(a) - mpf(b)) ** 2 / (2 * lam) + mp.log(1 + abs(mpf(a)) / eps)
+                       for a, b in ((1e308, -1e308), (0.5, 0.25)))
+        assert abs(got - want) <= 1e-14 * want
+
     def test_objective_where_the_squares_overflow(self):
         # 2*lam, the squares of the entries of X* - Z and |d_i|/eps all overflow a double
         p = ProxParams(1e308, 1e-300)

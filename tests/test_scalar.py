@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import sys
 import threading
 import warnings
 from fractions import Fraction
@@ -122,6 +123,14 @@ class TestQObjective:
     def test_finite_where_square_or_quotient_overflows(self, z, x):
         # (x - z)**2 or |x|/eps overflows a double here; the objective does not
         p = ProxParams(1e308, 1e-300)
+        with mp.workdps(60):
+            want = (mpf(x) - mpf(z)) ** 2 / (2 * mpf(p.lam)) + mp.log(1 + abs(mpf(x)) / mpf(p.eps))
+        assert abs(q_objective(p, z, x) - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("z, x", [(-1e308, 1e308), (1e308, -1e308)])
+    def test_finite_where_the_difference_overflows(self, z, x):
+        # x - z overflows a double here; the objective, 1.18e308, does not
+        p = ProxParams(1.7e308, 1.0)
         with mp.workdps(60):
             want = (mpf(x) - mpf(z)) ** 2 / (2 * mpf(p.lam)) + mp.log(1 + abs(mpf(x)) / mpf(p.eps))
         assert abs(q_objective(p, z, x) - want) <= 1e-14 * want
@@ -269,6 +278,29 @@ class TestRoots:
         with mp.workdps(400):  # (z - eps)/2 + sqrt(...) cancels to 1e-315 of eps here
             want = (mpf(z) - eps) / 2 + mp.sqrt((mpf(z) + eps) ** 2 / 4 - lam)
             assert abs(r2(ProxParams(lam, eps), z) - want) <= 1e-15 * abs(want)
+
+    def test_r1_near_threshold_against_high_precision(self):
+        # (z - eps)/2 - sqrt(...) cancels near lam/eps; r1 is taken from r2 there
+        rng = np.random.default_rng(15)
+        cases = [
+            (1e12, 1.0, 999999000000.0),  # printed 0 for r1 = 1.000001e-6
+            (1e20, 1e-2, 1e22 * (1 - 1e-6)),
+            (1e4, 1.0, 1e4 * (1 - 1e-8)),  # relative error 2e-5
+        ]
+        while len(cases) < 300:
+            s = 10.0 ** rng.uniform(-150, 150)
+            eps = s * 10.0 ** rng.uniform(-300, math.log10(0.98))  # c = eps/s up to 0.98
+            if eps > 0 and math.isfinite(s * s / eps):
+                p = ProxParams(s * s, eps)
+                z = p.threshold * (1 - 10.0 ** rng.uniform(-12, -3))
+                if z >= p.bracket_low:
+                    cases.append((p.lam, p.eps, z))
+        for lam, eps, z in cases:
+            with mp.workdps(700):  # the cancellation costs up to 650 digits at c = 1e-300
+                want = (mpf(z) - eps) / 2 - mp.sqrt((mpf(z) + eps) ** 2 / 4 - lam)
+                if want < sys.float_info.min:  # r1 underflows
+                    continue
+                assert abs(r1(ProxParams(lam, eps), z) - want) <= 1e-11 * want, (lam, eps, z)
 
     def test_monotone_on_domain(self):
         zs = np.linspace(P31.bracket_low, 12.0, 400)

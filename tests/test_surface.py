@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import logsum_prox
-from logsum_prox import ProxParams, cli, irl1, matrix, matrix_io, prox_vector, scalar, vector
+from logsum_prox import (
+    ProxParams, cli, errors, irl1, matrix, matrix_io, oracle, prox_vector, scalar, vector,
+)
 
 PUBLIC = {
     "ConvergenceError", "DomainError", "LogSumProxError", "MatrixFormatError",
@@ -25,6 +27,8 @@ PUBLIC = {
     "VectorProxResult", "logsum_penalty", "prox_vector", "vector_objective",
     "__version__",
 }
+
+MODULES = (errors, irl1, matrix, matrix_io, oracle, scalar, vector)
 
 TRACER_PATCHES = [
     (scalar, "z_star"),
@@ -47,6 +51,22 @@ def test_public_names():
     assert set(logsum_prox.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(logsum_prox, name), name
+
+
+def test_package_exports_the_union_of_the_module_lists():
+    union = [name for module in MODULES for name in module.__all__]
+    assert logsum_prox.__all__ == [*union, "__version__"]
+
+
+def test_no_name_is_in_two_module_lists():
+    names = [name for module in MODULES for name in module.__all__]
+    assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__.rsplit(".", 1)[1])
+def test_every_listed_name_is_a_module_attribute(module):
+    for name in module.__all__:
+        assert hasattr(module, name), name
 
 
 @pytest.mark.parametrize("module, name", TRACER_PATCHES,

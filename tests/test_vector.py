@@ -127,6 +127,19 @@ def test_penalty_where_the_quotient_overflows():
     assert logsum_penalty(p, y) == float(np.sum(np.log1p(np.abs(y) / p.eps)))
 
 
+def test_objective_where_the_difference_overflows():
+    # x - z overflows a double in the first entry; the objective does not
+    p = ProxParams(1.7e308, 1.0)
+    x, z = [1e308, 0.5], [-1e308, 0.25]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = vector_objective(p, x, z)
+    with mp.workdps(60):
+        want = sum((mpf(a) - mpf(b)) ** 2 / (2 * mpf(p.lam)) + mp.log(1 + abs(mpf(a)) / mpf(p.eps))
+                   for a, b in zip(x, z))
+    assert abs(got - want) <= 1e-14 * want
+
+
 def test_objective_dominates_trivial_candidates():
     rng = np.random.default_rng(5)
     for p in (P23, P31):

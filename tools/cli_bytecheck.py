@@ -133,6 +133,15 @@ def _invocations(matrices: list[str]) -> list[list[str]]:
     for sweep in ("nan:3:3", "0:inf:3"):
         cases.append(["irl1", "failures", *p31, "--x0", "1", "--sweep", sweep])
     cases.append(["irl1", "simulate", *p31, "--z", "2.5", "--x0", "2", "--max-iters", "-3"])
+    # a non-finite grid bound is an error before any point is formed; fewer than 1 point is a usage error
+    for start, stop in (("0", "inf"), ("nan", "1"), ("-inf", "0")):
+        cases.append(["sweep", *p31, "--from", start, "--to", stop, "--points", "3"])
+    for points in ("0", "-1", "1"):
+        cases.append(["sweep", *p31, "--from", "2", "--to", "3", "--points", points])
+    # x0 below and above r1(z) = 1.000001e-6, which cancelled to 0 near lam/eps
+    for x0 in ("5e-7", "2e-6"):
+        each_format("irl1", "predict", "--lambda", "1e12", "--eps", "1", "--z", "999999000000",
+                    "--x0", x0)
     return cases
 
 
