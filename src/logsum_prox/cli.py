@@ -25,8 +25,8 @@ import numpy as np
 
 from . import matrix_io
 from .errors import ConvergenceError, DomainError, MatrixFormatError, PreconditionError, RegimeError
-from .irl1 import (DEFAULT_MAX_ITERS, DEFAULT_STOP_TOL, failure_intervals, irl1_predict_limit,
-                   irl1_simulate, limit_matches_prox)
+from .irl1 import (DEFAULT_MAX_ITERS, failure_intervals, irl1_predict_limit, irl1_simulate,
+                   limit_matches_prox)
 from .matrix import prox_matrix
 from .scalar import ProxParams, Regime, prox_scalar, r2, z_star
 from .vector import prox_vector
@@ -88,11 +88,6 @@ def _sweep_spec(text: str) -> tuple[float, float, int]:
     return a, b, n
 
 
-def _cell(v) -> str:
-    """One CSV cell: floats to 17 significant digits, anything else via ``str``."""
-    return format(float(v), ".17g") if isinstance(v, float) else str(v)
-
-
 def _finite_or_null(obj):
     """``obj`` with every non-finite float, at any depth, replaced by ``None``."""
     if isinstance(obj, float):
@@ -109,15 +104,19 @@ def _emit(args, text, csv=None, payload=None) -> None:
 
     ``text`` returns the text lines, ``csv`` a ``(header, rows)`` pair and
     ``payload`` the JSON document; all three are zero-argument callables and
-    only the one for the requested format is called.  JSON is strict: a
-    non-finite float is written as ``null``.
+    only the one for the requested format is called.  CSV rows are tuples,
+    written with one ``%`` format taken from the first row's cells: ``%.17g``
+    for a float, ``%s`` otherwise.  JSON is strict: a non-finite float is
+    written as ``null``.
     """
     if args.format == "json":
         doc = _finite_or_null(payload())
         lines = [json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)]
     elif args.format == "csv":
         header, rows = csv()
-        lines = [header, *(",".join(map(_cell, row)) for row in rows)]
+        rows = list(rows)
+        fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) if rows else ""
+        lines = [header, *(fmt % row for row in rows)]
     else:
         lines = text()
     out = "\n".join(lines) + "\n"
@@ -208,7 +207,7 @@ def cmd_zstar(args) -> int:
 
 def cmd_irl1_simulate(args) -> int:
     params = _params(args)
-    trace = irl1_simulate(params, args.z, args.x0, stop_tol=args.tol, max_iters=args.max_iters)
+    trace = irl1_simulate(params, args.z, args.x0, max_iters=args.max_iters)
     _emit(
         args,
         lambda: [
@@ -314,7 +313,7 @@ def cmd_sweep(args) -> int:
             rows.insert(i + 1, (z, jump if z > 0 else -jump))
     _emit(
         args,
-        lambda: [f"{_fmt6(z)} {_fmt6(v)}" for z, v in rows],
+        lambda: ["%.6g %.6g" % row for row in rows],
         csv=lambda: ("z,value", rows),
         payload=lambda: {
             "inputs": {"lambda": params.lam, "eps": params.eps,
@@ -370,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ps, fmt_choices=("csv", "text", "json"))
     ps.add_argument("--z", type=float, required=True)
     ps.add_argument("--x0", type=float, required=True)
-    ps.add_argument("--tol", type=_positive_float, default=DEFAULT_STOP_TOL, help="stop tolerance")
     ps.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
     ps.set_defaults(func=cmd_irl1_simulate)
 

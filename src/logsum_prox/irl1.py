@@ -43,8 +43,11 @@ __all__ = [
 
 # The contraction factor lam/((eps+a)(eps+b)) approaches 1 near the jump
 # point, so honest simulation needs a generous iteration cap.
-DEFAULT_STOP_TOL = 1e-12
 DEFAULT_MAX_ITERS = 10**6
+# The stop step and the match distance, in units of sqrt(lam): scaling lam by
+# 4**j and z, eps, x0 by 2**j scales both exactly, as it scales the prox.
+DEFAULT_STOP_TOL = 1e-12
+_MATCH_TOL = 1e-8
 
 # Equality with r1-values is a measure-zero knife edge; resolved within this
 # relative tolerance.
@@ -157,29 +160,23 @@ def irl1_step(params: ProxParams, z: float, x_k: float) -> float:
     return 0.0 if z <= t else z - t
 
 
-def irl1_simulate(
-    params: ProxParams,
-    z: float,
-    x0: float,
-    stop_tol: float = DEFAULT_STOP_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> IrlTrace:
+def irl1_simulate(params: ProxParams, z: float, x0: float,
+                  max_iters: int = DEFAULT_MAX_ITERS) -> IrlTrace:
     """Run the iteration from ``x0`` until a fixed point, tolerance, or the cap.
 
-    Stops with ``FIXED_POINT_HIT`` on exact repetition, ``TOLERANCE_MET``
-    once ``|x_{k+1} - x_k| <= stop_tol``, else ``MAX_ITERS``.  The limit
-    estimate is the last iterate with the sign of ``z`` restored.  A
-    non-finite ``z`` raises ``PreconditionError``; a negative ``max_iters``
-    or ``stop_tol <= 0`` raises ``ValueError``.
+    Stops with ``FIXED_POINT_HIT`` on exact repetition, ``TOLERANCE_MET`` once
+    ``|x_{k+1} - x_k| <= DEFAULT_STOP_TOL*sqrt(lam)`` (``1e-12*sqrt(lam)``), else
+    ``MAX_ITERS``.  The limit estimate is the last iterate with the sign of ``z``
+    restored.  A non-finite ``z`` raises ``PreconditionError``; a negative
+    ``max_iters`` raises ``ValueError``.
     """
     x0 = _check_x0(x0)
-    if not (stop_tol > 0):
-        raise ValueError(f"stop_tol must be positive, got {stop_tol!r}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters!r}")
     a = abs(z)
     if not a < math.inf:
         raise PreconditionError(f"z must be finite, got {z!r}")
+    stop_tol = DEFAULT_STOP_TOL * math.sqrt(params.lam)
     iterates = [x0]
     reason = StopReason.MAX_ITERS
     x = x0
@@ -191,7 +188,6 @@ def irl1_simulate(
             break
         if abs(nxt - x) <= stop_tol:
             reason = StopReason.TOLERANCE_MET
-            x = nxt
             break
         x = nxt
     limit = iterates[-1] if z >= 0 else -iterates[-1]
@@ -281,7 +277,7 @@ def failure_intervals(params: ProxParams, x0: float) -> FailureReport:
     return FailureReport(x0, zs, (Interval(-hi, -lo, hi_closed, lo_closed), pos), case)
 
 
-def limit_matches_prox(params: ProxParams, z: float, limit: float, tol: float = 1e-8) -> bool:
-    """Whether ``limit`` is a member of the true minimizer set at ``z``, within ``tol``."""
-    res = prox_scalar(params, z)
-    return any(abs(limit - v) <= tol for v in res.values)
+def limit_matches_prox(params: ProxParams, z: float, limit: float) -> bool:
+    """Whether ``limit`` is within ``1e-8*sqrt(lam)`` of a member of the true minimizer set at ``z``."""
+    tol = _MATCH_TOL * math.sqrt(params.lam)
+    return any(abs(limit - v) <= tol for v in prox_scalar(params, z).values)

@@ -95,7 +95,7 @@ class MatrixProxResult(NamedTuple):
 
 
 def matrix_objective(params: ProxParams, x, z) -> float:
-    """``||x - z||_F^2 / (2*lam) + logdet_penalty(x)``, finite wherever the true value is."""
+    """``||x - z||_F^2 / (2*lam) + logdet_penalty(x)`` (same shapes), finite wherever the true value is."""
     x = _validated_matrix(x)
     z = _validated_matrix(z)
     with np.errstate(over="ignore"):  # overflowing differences or squares are redone, not reported
@@ -112,8 +112,7 @@ def prox_matrix(params: ProxParams, z) -> MatrixProxResult:
     ``vector_objective(params, d, sigma)``, which ``prox_vector`` already
     returns.
     """
-    z = _validated_matrix(z)
-    fac = svd(z)
+    fac = svd(z)  # validates z
     vec = prox_vector(params, fac.singular_values)
     d = vec.canonical
     # d is descending, so its zeros are a suffix: rebuild from the first r

@@ -16,7 +16,9 @@ Two precision details matter:
 * Every round inserts ``x = 0`` as an extra candidate, since the penalty
   has a kink there.
 
-Ties are broken toward smaller ``|x|``.
+Ties are broken toward smaller ``|x|``.  The search radius ``|z| + 1`` is
+absolute, not a multiple of ``sqrt(lam)``, so the oracle is evidence for the
+acceptance band (``lam``, ``eps`` and ``z`` near 1) only, not at every scale.
 """
 
 from __future__ import annotations

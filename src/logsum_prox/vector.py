@@ -61,16 +61,18 @@ def _logsum_penalty(params: ProxParams, x: np.ndarray) -> float:
 
 @np.errstate(over="ignore")  # overflowing differences, squares or quotients are redone, not reported
 def vector_objective(params: ProxParams, x: np.ndarray, z: np.ndarray) -> float:
-    """``||x - z||^2 / (2*lam) + logsum_penalty(x)``."""
+    """``||x - z||^2 / (2*lam) + logsum_penalty(x)``; ``x`` and ``z`` must have the same shape."""
     x = np.asarray(x, dtype=float)
     return _half_square(params, x, np.asarray(z, dtype=float)) + _logsum_penalty(params, x)
 
 
 def _half_square(params: ProxParams, x: np.ndarray, z: np.ndarray) -> float:
-    """``||x - z||^2 / (2*lam)`` of float arrays, finite wherever the true value is.
+    """``||x - z||^2 / (2*lam)`` of same-shape float arrays, finite wherever the true value is.
 
     The caller ignores overflow in ``np.errstate``.
     """
+    if x.shape != z.shape:  # no broadcasting: a mismatched pair has no objective
+        raise PreconditionError(f"x and z must have the same shape, got {x.shape} and {z.shape}")
     d = x - z
     quad = float((d * d).sum()) / params.lam
     if quad == math.inf:

@@ -22,6 +22,7 @@ from logsum_prox import (
     prox_matrix,
     prox_scalar,
     prox_vector,
+    r2,
     z_star,
 )
 from logsum_prox.cli import build_parser, main
@@ -229,6 +230,36 @@ class TestIrl1Command:
                              "--z", "2.5", "--x0", "2", "--max-iters", "-3")
         assert code == 2 and out == ""
         assert err == "error: max_iters must be nonnegative, got -3\n"
+
+    def test_stop_tolerance_is_not_an_option(self, capsys):
+        code, out, _ = run(capsys, "irl1", "simulate", "--lambda", "3", "--eps", "1",
+                           "--z", "2.5", "--x0", "2", "--tol", "1e-9")
+        assert code == 2 and out == ""
+
+    def test_failures_sweep_far_from_unit_scale(self, capsys):
+        # (3, 1) with lam scaled by 1e-20 and eps, z by 1e-10: z = 3e-10 is inside
+        # the failure interval the same output lists, so the limit 0 misses prox 2e-10
+        code, out, _ = run(capsys, "irl1", "failures", "--lambda", "3e-20", "--eps", "1e-10",
+                           "--x0", "0", "--sweep=1e-10:4e-10:4")
+        assert code == 0
+        lines = out.splitlines()
+        assert "  (2.5710831932251655e-10, 3e-10]" in lines
+        assert lines[-4:] == [
+            "z=1e-10 irl1=0 prox=0 agree=yes",
+            "z=2e-10 irl1=0 prox=0 agree=yes",
+            "z=3e-10 irl1=0 prox=2e-10 agree=no",
+            "z=4e-10 irl1=3.30278e-10 prox=3.30278e-10 agree=yes",
+        ]
+
+    def test_simulate_far_from_unit_scale(self, capsys):
+        # z = 4*eps, x0 = eps at (3e-40, 1e-20): the run of (3, 1) scaled by 1e-20
+        code, out, _ = run(capsys, "irl1", "simulate", "--lambda", "3e-40", "--eps", "1e-20",
+                           "--z", "4e-20", "--x0", "1e-20", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["stop_reason"] == "tolerance_met"
+        want = r2(ProxParams(3e-40, 1e-20), 4e-20)
+        assert doc["limit_estimate"] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestSweepCommand:
@@ -527,7 +558,7 @@ def _check_zstar(fmt, out):
 
 
 def _check_simulate(fmt, out):
-    trace = irl1_simulate(P31, 2.5, 2.0, stop_tol=1e-12, max_iters=10**6)
+    trace = irl1_simulate(P31, 2.5, 2.0, max_iters=10**6)
     if fmt == "json":
         assert json.loads(out) == {
             "inputs": {"lambda": 3.0, "eps": 1.0, "z": 2.5, "x0": 2.0},

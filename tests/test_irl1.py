@@ -78,12 +78,12 @@ class TestSimulate:
         assert again.iterates == trace.iterates
 
     def test_tolerance_met_invariant(self):
-        trace = irl1_simulate(P31, 2.5, 2.0, stop_tol=1e-10)
+        trace = irl1_simulate(P31, 2.5, 2.0)
         assert trace.stop_reason is StopReason.TOLERANCE_MET
-        assert abs(trace.iterates[-1] - trace.iterates[-2]) <= 1e-10
+        assert abs(trace.iterates[-1] - trace.iterates[-2]) <= 1e-12 * SQRT3
 
     def test_max_iters_recorded_not_raised(self):
-        trace = irl1_simulate(P31, 2.5, 2.0, stop_tol=1e-300, max_iters=50)
+        trace = irl1_simulate(P31, 2.5, 2.0, max_iters=50)
         assert trace.stop_reason is StopReason.MAX_ITERS
         assert len(trace.iterates) == 51
 
@@ -123,8 +123,6 @@ class TestSimulate:
     def test_input_validation(self):
         with pytest.raises(PreconditionError):
             irl1_simulate(P31, 2.5, -0.5)
-        with pytest.raises(ValueError):
-            irl1_simulate(P31, 2.5, 1.0, stop_tol=0.0)
 
 
 class TestPredict:
@@ -223,7 +221,7 @@ class TestPredict:
                 z = -z
             x0 = float(rng.uniform(0.0, 5.0))
             pred = irl1_predict_limit(p, z, x0)
-            assert limit_matches_prox(p, z, pred.limit, tol=1e-9)
+            assert pred.limit in prox_scalar(p, z).values
 
 
 def predicted_by_case_table(p, z, x0):
@@ -253,10 +251,11 @@ def predicted_by_case_table(p, z, x0):
 
 
 @st.composite
-def predict_cases(draw):
-    """A pair from the tested band or the whole double range, an input in a
-    chosen region of the case analysis and a start chosen against r1 there."""
-    if draw(st.booleans()):
+def predict_cases(draw, whole_range=True):
+    """A pair from the tested band or the whole double range (the band only
+    if not ``whole_range``), an input in a chosen region of the case analysis
+    and a start chosen against r1 there."""
+    if not whole_range or draw(st.booleans()):
         eps = draw(st.floats(0.1, 3.0))
         lam = (eps * draw(st.floats(0.15, 3.2))) ** 2
     else:
@@ -296,6 +295,47 @@ class TestPredictCaseTable:
         limit, kind, tag = predicted_by_case_table(p, z, x0)
         assert (got.classification, got.justification) == (kind, tag)
         assert got.limit == limit and math.copysign(1.0, got.limit) == math.copysign(1.0, limit)
+
+
+class TestScaleCovariance:
+    """Scaling ``lam`` by ``4**j`` and ``eps``, ``z``, ``x0`` by ``2**j`` is exact
+    in doubles away from overflow and underflow, and the prox scales by
+    ``2**j`` (``prox(lam, eps; z) = s*prox(1, eps/s; z/s)``, ``s = sqrt(lam)``).
+    So must every scalar and IRL1 result, bit for bit."""
+
+    # z = 4*eps, x0 = eps at (3, 1), scaled to lam = 3*2**-132, eps = 2**-66
+    @example(case=(ProxParams(3.0, 1.0), 4.0, 1.0), j=-66, offset=0.0)
+    @given(predict_cases(whole_range=False), st.sampled_from([5, 20, 40, -5, -20, -40]),
+           st.floats(0.0, 3e-8))
+    @settings(max_examples=300, deadline=None)
+    def test_power_of_two_scaling(self, case, j, offset):
+        p, z, x0 = case
+        k = 2.0**j
+        q, zq, x0q = ProxParams(p.lam * k * k, p.eps * k), z * k, x0 * k
+
+        def scaled(xs):
+            return tuple(x * k for x in xs)
+
+        got, want = prox_scalar(q, zq), prox_scalar(p, z)
+        assert (got.kind, got.values) == (want.kind, scaled(want.values))
+        if abs(z) >= p.bracket_low:
+            assert r2(q, abs(zq)) == r2(p, abs(z)) * k
+        if p.regime() is Regime.NONCONVEX:
+            got, want = z_star(q), z_star(p)
+            assert (got.z_star, got.bracket) == (want.z_star * k, scaled(want.bracket))
+            assert (got.iterations, got.residual) == (want.iterations, want.residual)
+        got, want = failure_intervals(q, x0q), failure_intervals(p, x0)
+        assert (got.x0, got.case) == (x0q, want.case)
+        assert got.z_star == (None if want.z_star is None else want.z_star * k)
+        assert got.intervals == tuple(
+            Interval(iv.lower * k, iv.upper * k, iv.lower_closed, iv.upper_closed) for iv in want.intervals)
+        pred, pred_q = irl1_predict_limit(p, z, x0), irl1_predict_limit(q, zq, x0q)
+        assert pred_q == (pred.limit * k, pred.classification, pred.justification)
+        sim, sim_q = irl1_simulate(p, z, x0, max_iters=2000), irl1_simulate(q, zq, x0q, max_iters=2000)
+        assert (sim_q.iterates, sim_q.stop_reason) == (scaled(sim.iterates), sim.stop_reason)
+        assert sim_q.limit_estimate == sim.limit_estimate * k
+        for lim in (pred.limit, sim.limit_estimate, pred.limit + offset * math.sqrt(p.lam)):
+            assert limit_matches_prox(q, zq, lim * k) == limit_matches_prox(p, z, lim)
 
 
 def r1_inverse(p, x0):

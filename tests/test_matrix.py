@@ -148,6 +148,11 @@ class TestProxMatrix:
             matrix_objective(P23, res.x_star, z), abs=1e-12
         )
 
+    def test_objective_rejects_mismatched_shapes(self):
+        # broadcasting (2, 3) against (1, 3) would give 2.238
+        with pytest.raises(PreconditionError, match=r"same shape, got \(2, 3\) and \(1, 3\)"):
+            matrix_objective(P31, np.ones((2, 3)), np.zeros((1, 3)))
+
     def test_objective_where_the_difference_overflows(self):
         # X - Z overflows a double in its first entry; the objective does not
         p = ProxParams(1.7e308, 1.0)

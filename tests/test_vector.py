@@ -105,6 +105,12 @@ def test_objective_value_definition():
     assert res.objective_value == pytest.approx(vector_objective(P23, res.canonical, z), rel=1e-15)
 
 
+def test_objective_rejects_mismatched_shapes():
+    # broadcasting ones(3) against zeros(1) would give 2.579
+    with pytest.raises(PreconditionError, match=r"same shape, got \(3,\) and \(1,\)"):
+        vector_objective(P31, np.ones(3), np.zeros(1))
+
+
 def test_penalty_where_the_quotient_overflows():
     # |x|/eps overflows a double for the first two entries; the penalty does not
     p = ProxParams(1e308, 1e-300)

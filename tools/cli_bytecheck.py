@@ -142,6 +142,12 @@ def _invocations(matrices: list[str]) -> list[list[str]]:
     for x0 in ("5e-7", "2e-6"):
         each_format("irl1", "predict", "--lambda", "1e12", "--eps", "1", "--z", "999999000000",
                     "--x0", x0)
+    # far from lam ~ 1: the stop step and the match distance are multiples of sqrt(lam)
+    each_format("irl1", "failures", "--lambda", "3e-20", "--eps", "1e-10", "--x0", "0",
+                "--sweep=1e-10:4e-10:4")
+    each_format("irl1", "simulate", "--lambda", "3e-40", "--eps", "1e-20", "--z", "4e-20",
+                "--x0", "1e-20")
+    cases.append(["irl1", "simulate", *p31, "--z", "2.5", "--x0", "2", "--tol", "1e-9"])
     return cases
 
 
