@@ -24,7 +24,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import PreconditionError
-from .scalar import ProxParams, Regime, _roots, _z_star_cached, prox_scalar, r1, r2
+from .scalar import ProxParams, _roots, _z_star_cached, prox_scalar, r1, r2
 
 __all__ = [
     "StopReason",
@@ -99,6 +99,12 @@ class LimitPrediction(NamedTuple):
     limit: float
     classification: LimitKind
     justification: str
+
+
+# What irl1_predict_limit returns, prebuilt: enum members, and one zero limit per sign and case tag.
+_ZERO, _R1_FIXED_POINT, _R2 = LimitKind.ZERO, LimitKind.R1_FIXED_POINT, LimitKind.R2
+_ZEROS = {s: {tag: LimitPrediction(s * 0.0, _ZERO, tag) for tag in ("conv2", "conv4", "conv5", "conv6")}
+          for s in (1.0, -1.0)}
 
 
 class Interval(NamedTuple):
@@ -209,7 +215,8 @@ def irl1_predict_limit(params: ProxParams, z: float, x0: float) -> LimitPredicti
       limit 0 if ``x0 < r1(|z|)``, the unstable fixed point ``r1(|z|)`` if
       ``x0`` equals it (within ``1e-12 * r1``), else ``r2(|z|)``.
 
-    A non-finite ``z`` raises ``PreconditionError``.
+    A zero limit is one of eight shared records, one per sign and case tag:
+    compare by value.  A non-finite ``z`` raises ``PreconditionError``.
     """
     if not 0.0 <= x0 < math.inf:
         _check_x0(x0)
@@ -217,27 +224,27 @@ def irl1_predict_limit(params: ProxParams, z: float, x0: float) -> LimitPredicti
     if not a < math.inf:
         raise PreconditionError(f"z must be finite, got {z!r}")
     s = 1.0 if z >= 0 else -1.0
-    # every limit is s*magnitude, so a zero limit at negative z is -0.0
+    zeros = _ZEROS[s]  # every limit is s*magnitude, so a zero limit at negative z is -0.0
     if a == 0.0:
-        return LimitPrediction(s * 0.0, LimitKind.ZERO, "conv2")
+        return zeros["conv2"]
     if x0 == 0.0:
         if a <= params.threshold:
-            return LimitPrediction(s * 0.0, LimitKind.ZERO, "conv2")
-        return LimitPrediction(s * r2(params, a), LimitKind.R2, "conv2")
+            return zeros["conv2"]
+        return LimitPrediction(s * r2(params, a), _R2, "conv2")
     if a >= params.threshold:
         lim = r2(params, a)
-        return LimitPrediction(s * lim, LimitKind.R2 if lim > 0 else LimitKind.ZERO, "conv3")
+        return LimitPrediction(s * lim, _R2 if lim > 0 else _ZERO, "conv3")
     lo = params.bracket_low
-    if params._regime is Regime.CONVEX:
-        return LimitPrediction(s * 0.0, LimitKind.ZERO, "conv4" if (lo > 0 and a < lo) else "conv5")
+    if params._convex:
+        return zeros["conv4" if (lo > 0 and a < lo) else "conv5"]
     if a < lo:
-        return LimitPrediction(s * 0.0, LimitKind.ZERO, "conv4")
+        return zeros["conv4"]
     r1a, r2a = _roots(params, a)
     if abs(x0 - r1a) <= _R1_EQ_TOL * abs(r1a):
-        return LimitPrediction(s * r1a, LimitKind.R1_FIXED_POINT, "conv6")
+        return LimitPrediction(s * r1a, _R1_FIXED_POINT, "conv6")
     if x0 < r1a:
-        return LimitPrediction(s * 0.0, LimitKind.ZERO, "conv6")
-    return LimitPrediction(s * r2a, LimitKind.R2, "conv6")
+        return zeros["conv6"]
+    return LimitPrediction(s * r2a, _R2, "conv6")
 
 
 def failure_intervals(params: ProxParams, x0: float) -> FailureReport:
@@ -248,23 +255,23 @@ def failure_intervals(params: ProxParams, x0: float) -> FailureReport:
     ``zx = x0 + lam/(eps + x0)``, the ``z`` on the bracket with ``r1(z) == x0``:
 
     * ``x0 >= top``:            fails on +/- [2*sqrt(lam)-eps, z_star)
-    * ``rs < x0 < top``:        fails on +/- [zx, z_star)
     * ``x0 == rs`` (within ``1e-12 * rs``): fails exactly at +/- z_star
+    * ``rs < x0 < top``:        fails on +/- [zx, z_star)
     * ``0 <= x0 < rs``:         fails on +/- (z_star, zx]
 
-    The negative-side interval is the mirror image of the positive one.
+    The first case that holds applies.  The negative-side interval is the
+    mirror image of the positive one.
     """
     if not 0.0 <= x0 < math.inf:
         _check_x0(x0)
     x0 = float(x0)
-    if params._regime is Regime.CONVEX:
+    if params._convex:
         return FailureReport(x0, None, (), FailureCase.EXACT)
     zs = _z_star_cached(params.lam, params.eps).z_star
-    rs = r1(params, zs)
     if x0 >= params.r1_max:
         pos = Interval(params.bracket_low, zs, True, False)
         case = FailureCase.HIGH_X0
-    elif abs(x0 - rs) <= _R1_EQ_TOL * rs:
+    elif abs(x0 - (rs := r1(params, zs))) <= _R1_EQ_TOL * rs:  # r1(z_star) only where a case needs it
         pos = Interval(zs, zs, True, True)
         case = FailureCase.KNIFE_EDGE_X0
     elif x0 > rs:

@@ -62,9 +62,9 @@ __all__ = [
 # fails.
 _DISC_CLAMP = 1e-12
 
-# A root taken by Vieta's formula is exact-rational where lam - z*eps is below
-# this share of lam, so that its one rounding of z*eps costs at most 2**-41
-# relative error.
+# The product of the roots lam - z*eps (for Vieta's formula) and the root
+# discriminant are formed exact-rational where they fall below this share of
+# lam, so that the roundings of their float forms cost at most 2**-39 relative.
 _VIETA_CANCEL = 2.0**-12
 
 
@@ -109,13 +109,14 @@ class ProxParams:
         # Plain attributes, not fields, so repr, ==, hash and fields() see
         # (lam, eps) only; dataclasses.replace re-runs this method.
         s = math.sqrt(lam)
-        object.__setattr__(self, "_regime", Regime.CONVEX if s <= eps else Regime.NONCONVEX)
+        object.__setattr__(self, "_convex", s <= eps)  # a bool, so a regime check is one attribute test
+        object.__setattr__(self, "_disc_cut", _VIETA_CANCEL * lam)  # see _root_radius
         object.__setattr__(self, "threshold", lam / eps)
         object.__setattr__(self, "bracket_low", 2.0 * s - eps)
         object.__setattr__(self, "r1_max", s - eps)
 
     def regime(self) -> Regime:
-        return self._regime
+        return Regime.CONVEX if self._convex else Regime.NONCONVEX
 
 
 class ProxKind(Enum):
@@ -184,6 +185,8 @@ def _root_radius(params: ProxParams, z: float) -> float:
 
     The square is a product, never ``**``: CPython's ``**`` calls the C
     library's ``pow``, which can round differently from numpy's squaring.
+    Where the discriminant cancels (below ``_VIETA_CANCEL*lam``), it is formed
+    exactly from ``z``, ``eps`` and ``lam`` and rounded once.
     """
     t = z + params.eps
     d = t * t / 4.0 - params.lam
@@ -197,10 +200,15 @@ def _root_radius(params: ProxParams, z: float) -> float:
         if w >= -_DISC_CLAMP * q * q:
             return 0.0
         raise _below_bracket(params, z)
-    if d < 0.0:
-        if d >= -_DISC_CLAMP * params.lam:
-            return 0.0
-        raise _below_bracket(params, z)
+    if d < params._disc_cut:
+        (zn, zd), (en, ed) = float(z).as_integer_ratio(), params.eps.as_integer_ratio()
+        ln, ld = params.lam.as_integer_ratio()
+        tn, td = zn * ed + en * zd, zd * ed  # z + eps = tn/td
+        d = (tn * tn * ld - 4 * ln * td * td) / (4 * ld * td * td)  # int / int rounds correctly
+        if d < 0.0:
+            if d >= -_DISC_CLAMP * params.lam:
+                return 0.0
+            raise _below_bracket(params, z)
     return math.sqrt(d)
 
 
@@ -283,7 +291,7 @@ def z_star(params: ProxParams) -> ZStarResult:
 
     Raises ``RegimeError`` when ``sqrt(lam) <= eps``.
     """
-    if params._regime is Regime.CONVEX:
+    if params._convex:
         raise RegimeError(
             f"no jump point when sqrt(lam) <= eps; got lam={params.lam}, eps={params.eps}"
         )
@@ -364,7 +372,7 @@ def _prox_values(params: ProxParams, zs: list[float]) -> tuple[list[float], list
     values: list[float] = []
     pairs: list[int] = []
     append = values.append
-    if params._regime is Regime.CONVEX:
+    if params._convex:
         cut = params.threshold
         for z in zs:
             a = abs(z)

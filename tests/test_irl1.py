@@ -447,6 +447,68 @@ class TestFailureIntervals:
                 assert limit_matches_prox(P31, z, pred.limit)
 
 
+def failure_report_by_case_table(p, x0):
+    """``(x0, z_star, intervals, case)`` from failure_intervals's docstring, read literally,
+    with the public ``r1`` and ``zx = x0 + lam/(eps + x0)``, the first case that holds."""
+    s = math.sqrt(p.lam)
+    if s <= p.eps:
+        return x0, None, (), FailureCase.EXACT
+    zs = z_star(p).z_star
+    rs, top, zx = r1(p, zs), s - p.eps, x0 + p.lam / (p.eps + x0)
+    if x0 >= top:
+        case, pos = FailureCase.HIGH_X0, Interval(2.0 * s - p.eps, zs, True, False)
+    elif abs(x0 - rs) <= 1e-12 * rs:
+        case, pos = FailureCase.KNIFE_EDGE_X0, Interval(zs, zs, True, True)
+    elif rs < x0 < top:
+        case, pos = FailureCase.MID_X0, Interval(zx, zs, True, False)
+    else:
+        assert 0.0 <= x0 < rs
+        case, pos = FailureCase.LOW_X0, Interval(zs, zx, False, True)
+    return x0, zs, (pos.mirrored(), pos), case
+
+
+@st.composite
+def failure_cases(draw):
+    """A pair from the tested band or the whole double range and a start chosen
+    against ``r1(z_star)`` and ``sqrt(lam) - eps``."""
+    if draw(st.booleans()):
+        eps = draw(st.floats(0.1, 3.0))
+        lam = (eps * draw(st.floats(0.15, 3.2))) ** 2
+    else:
+        lam, eps = 10.0 ** draw(st.floats(-300.0, 300.0)), 10.0 ** draw(st.floats(-300.0, 300.0))
+    p = ProxParams(lam, eps)
+    g = draw(st.floats(0.01, 0.99))
+    any_x0 = math.sqrt(lam) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    if p.regime() is Regime.CONVEX:
+        return p, draw(st.sampled_from([0.0, any_x0]))
+    rs, top = r1(p, z_star(p).z_star), p.r1_max
+    near = draw(st.sampled_from([5e-13, -5e-13, 3e-12, -3e-12]))  # inside and just outside the knife edge
+    x0 = draw(st.sampled_from([0.0, g * rs, rs, rs * (1.0 + near), rs + g * (top - rs), top, top * (1.0 + g),
+                               any_x0]))
+    return p, x0
+
+
+class TestFailureCaseTable:
+    @example(case=(P23, 1.0))  # exact: convex
+    @example(case=(P31, 2.0))  # high start
+    @example(case=(P31, SQRT3 - 1.0))  # high start on sqrt(lam) - eps
+    @example(case=(P31, 0.5))  # mid start
+    @example(case=(P31, r1(P31, ZS31)))  # knife edge
+    @example(case=(P31, r1(P31, ZS31) * (1.0 + 5e-13)))  # knife edge, within 1e-12
+    @example(case=(P31, r1(P31, ZS31) * (1.0 + 3e-12)))  # mid start beside the knife edge
+    @example(case=(P31, 0.1))  # low start
+    @example(case=(P31, 0.0))  # low start at zero
+    @example(case=(ProxParams(1.6269779599083617e-50, 4.36226149196013e-45), 0.0))  # r1(z_star) = 1.3e-26
+    @given(failure_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_case_table(self, case):
+        p, x0 = case
+        got, want = failure_intervals(p, x0), failure_report_by_case_table(p, x0)
+        assert got == want and repr(tuple(got)) == repr(want)
+        if got.intervals:
+            assert got.intervals[0] == got.intervals[1].mirrored()
+
+
 class TestInterval:
     def test_contains_respects_closures(self):
         iv = Interval(1.0, 2.0, True, False)

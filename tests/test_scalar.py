@@ -22,6 +22,7 @@ from logsum_prox import (
     Regime,
     RegimeError,
     failure_intervals,
+    irl1_predict_limit,
     prox_scalar,
     q_objective,
     r1,
@@ -219,6 +220,7 @@ class TestRoots:
             r2(p, 0.75 * edge)
 
     @example(lam=0.25, eps=0.5, zs=[15.975627167855432])  # z + eps squares wrongly by pow()
+    @example(lam=92.98149886228654, eps=1.32626880757148, zs=[17.959588809088643])  # the discriminant cancels
     @given(st.floats(0.01, 100.0), st.floats(0.01, 10.0), st.lists(st.floats(0.0, 1e6), min_size=1, max_size=50))
     @settings(max_examples=200, deadline=None)
     def test_r2_matches_the_numpy_elementwise_form(self, lam, eps, zs):
@@ -228,6 +230,9 @@ class TestRoots:
         disc = (z + eps) ** 2 / 4.0 - lam
         z, disc = z[disc >= 0.0], disc[disc >= 0.0]
         half, rad = 0.5 * (z - eps), np.sqrt(disc)
+        # where the discriminant cancels (below 2**-12 * lam), exactly from z, eps and lam, rounded once
+        for i in np.flatnonzero(disc < 2.0**-12 * lam):
+            rad[i] = math.sqrt(max(float((Fraction(z[i]) + Fraction(eps)) ** 2 / 4 - Fraction(lam)), 0.0))
         # below eps by Vieta, r2 = (lam - z*eps)/r1; where lam - z*eps cancels, in exact arithmetic
         num, below = lam - z * eps, z < eps
         want = half + rad
@@ -308,6 +313,79 @@ class TestRoots:
         r2s = [r2(P31, z) for z in zs]
         assert all(a >= b for a, b in zip(r1s, r1s[1:]))
         assert all(a <= b for a, b in zip(r2s, r2s[1:]))
+
+
+def mp_roots(lam, eps, z):
+    """``(disc, r1, r2)`` at 80 digits; the root that ``(z - eps)/2 -/+ sqrt(disc)``
+    cancels is taken from the product of the roots, ``lam - z*eps``."""
+    with mp.workdps(80):
+        lam, eps, z = mpf(lam), mpf(eps), mpf(z)
+        disc = (z + eps) ** 2 / 4 - lam
+        half = (z - eps) / 2
+        if disc < 0:
+            return disc, None, None
+        big = half + mp.sqrt(disc) if half >= 0 else half - mp.sqrt(disc)
+        small = (lam - z * eps) / big
+        return (disc, small, big) if half >= 0 else (disc, big, small)
+
+
+def boundary_cases():
+    """300 pairs per band ``c = eps/sqrt(lam) = 1 -+ d``, ``lam`` log-uniform in [1e-50, 1e50],
+    each with a ``z`` in the critical band or up to 1e-1 above ``lam/eps`` where the true
+    discriminant is positive; led by the two pairs where the float discriminant cancelled."""
+    rng = np.random.default_rng(1216)
+    cases = [
+        (4.027183851979102e123, 6.346009616250486e61, 6.346009690351757e61),  # z = lam/eps: r1 was r2
+        (0.9999, 1.0, 1.000008999),  # r2 off by 1.4e-12
+    ]
+    for d in (1e-3, 1e-5, 1e-7, 1e-9):
+        for c in (1.0 - d, 1.0 + d):
+            n = 0
+            while n < 300:
+                lam = 10.0 ** rng.uniform(-50.0, 50.0)
+                p = ProxParams(lam, c * math.sqrt(lam))
+                lo, hi = max(p.bracket_low, 0.0), p.threshold
+                if rng.uniform() < 0.5:
+                    z = lo + rng.uniform() * (hi - lo)
+                else:
+                    z = hi * (1.0 + 10.0 ** rng.uniform(-13.0, -1.0))
+                if mp_roots(p.lam, p.eps, z)[0] > 0:
+                    cases.append((p.lam, p.eps, z))
+                    n += 1
+    return cases
+
+
+class TestRootsNearTheRegimeBoundary:
+    """Near ``sqrt(lam) ~ eps`` the discriminant ``(z + eps)**2/4 - lam`` cancels in
+    floating point for every ``z`` in the critical band and just above it."""
+
+    @staticmethod
+    def close(got, want, rel):
+        return got == 0.0 if want == 0 else abs(got - want) <= rel * abs(want)
+
+    def test_roots_and_prox_against_high_precision(self):
+        for lam, eps, z in boundary_cases():
+            p = ProxParams(lam, eps)
+            _, want1, want2 = mp_roots(lam, eps, z)
+            assert self.close(r1(p, z), want1, 1e-11), (lam, eps, z)
+            assert self.close(r2(p, z), want2, 1e-12), (lam, eps, z)
+            if p.regime() is Regime.CONVEX:
+                want = want2 if z > p.threshold else mpf(0)
+            else:
+                zs = z_star(p).z_star
+                if abs(z - zs) <= 1e-9 * zs:  # the tie itself is z_star's to decide
+                    continue
+                with mp.workdps(80):  # q(r2(z)) - q(0)
+                    gap = ((want2 - z) ** 2 - mpf(z) ** 2) / (2 * mpf(lam)) + mp.log1p(want2 / eps)
+                want = want2 if gap < 0 else mpf(0)
+            assert self.close(prox_scalar(p, z).canonical, want, 1e-12), (lam, eps, z)
+
+    def test_predicted_limit_at_lam_over_eps(self):
+        # z is lam/eps and bracket_low in doubles; the limit from x0 = 1 is r2(z), not r1(z)
+        lam, eps, z = 4.027183851979102e123, 6.346009616250486e61, 6.346009690351757e61
+        pred = irl1_predict_limit(ProxParams(lam, eps), z, 1.0)
+        assert pred.justification == "conv3"
+        assert abs(pred.limit - mp_roots(lam, eps, z)[2]) <= 1e-12 * pred.limit
 
 
 class TestGapR:

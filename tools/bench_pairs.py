@@ -20,7 +20,9 @@ harness keeps a little memory per op, so a faster library raises
 ``peak_rss_mb`` by about that much per extra op with no memory of its own.
 It means something only where the op counts differ by many thousands, as
 on ``param-scan``; a few hundred extra ops leave it at the noise of
-``peak_rss_mb``.
+``peak_rss_mb``.  Each run's wall time, and each side's median of it, is
+printed but not compared: ``run.py`` checks every op after its 20 s op
+budget, so a faster library runs more ops and makes the whole run longer.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
@@ -38,9 +41,11 @@ CALIBRATION = re.compile(r"py_loop median ([0-9.]+) ms .*numpy_svd128 median ([0
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
-    """One ``run.py`` process; returns its final JSON line plus the calibration medians."""
+    """One ``run.py`` process; returns its final JSON line plus the calibration medians and its wall time."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload, "--seed", str(seed)]
+    start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    wall_s = time.perf_counter() - start
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"bench_pairs: {' '.join(cmd)} exited with code {proc.returncode}")
@@ -48,6 +53,7 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     result = json.loads(lines[-1])
     cal = next((CALIBRATION.search(line) for line in lines if line.startswith("calibration")), None)
     result["calibration"] = {"py_loop_ms": float(cal.group(1)), "numpy_svd128_ms": float(cal.group(2))} if cal else {}
+    result["wall_s"] = wall_s
     return result
 
 
@@ -104,7 +110,8 @@ def main() -> int:
             runs[side].append(res)
             values = ", ".join(f"{k} {v['value']:.6g}" for k, v in res["metrics"].items())
             print(f"pair {i} seed {seed} {side}: correct {res['correct']}, attempted {res['attempted']}, "
-                  f"failed {res['failed']}; {values}; calibration {res['calibration']}", flush=True)
+                  f"failed {res['failed']}; {values}; calibration {res['calibration']}; "
+                  f"wall {res['wall_s']:.1f} s", flush=True)
 
     print(f"\n{args.workload}: {args.pairs} pairs, seeds {args.seed0}-{args.seed0 + args.pairs - 1}")
     for name, unit in ((k, v["unit"]) for k, v in runs["parent"][0]["metrics"].items()):
@@ -119,6 +126,8 @@ def main() -> int:
         change = [r["calibration"][key] for r in runs["change"] if key in r["calibration"]]
         if parent and change:
             print(summarize(f"calibration {key}", "ms", parent, change, None))
+    wall = {side: [r["wall_s"] for r in rs] for side, rs in runs.items()}
+    print(summarize("run wall time", "s", wall["parent"], wall["change"], None))
     for side, rs in runs.items():
         print(f"{side}: correct in {sum(r['correct'] for r in rs)} of {len(rs)} runs, "
               f"failed {sum(r['failed'] for r in rs)} of {sum(r['attempted'] for r in rs)} ops")

@@ -148,6 +148,11 @@ def _invocations(matrices: list[str]) -> list[list[str]]:
     each_format("irl1", "simulate", "--lambda", "3e-40", "--eps", "1e-20", "--z", "4e-20",
                 "--x0", "1e-20")
     cases.append(["irl1", "simulate", *p31, "--z", "2.5", "--x0", "2", "--tol", "1e-9"])
+    # where (z + eps)**2/4 - lam cancels near the regime boundary sqrt(lam) ~ eps: at the first
+    # pair z is lam/eps, where r1 and r2 are 1.218e50 and 7.409e53
+    cases.append(["irl1", "predict", "--lambda", "4.027183851979102e+123", "--eps", "6.346009616250486e+61",
+                  "--z", "6.346009690351757e+61", "--x0", "1", "--format", "json"])
+    cases.append(["prox", "--lambda", "0.9999", "--eps", "1", "--z", "1.000008999", "--format", "json"])
     return cases
 
 
