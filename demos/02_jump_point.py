@@ -4,23 +4,15 @@ In the nonconvex regime the objective has two competing local minimizers,
 0 and r2(z).  The tie gap  q(r2(z)) - q(0)  is positive at the
 left end of the bracket and negative at the right end; its unique root is
 where the global minimizer switches branches.  This script shows the sign
-change, the solved jump point, and an independent brute-force confirmation.
+change and the solved jump point.  The independent brute-force confirmation
+of that point is acceptance criterion 2 (tests/test_acceptance.py).
 
 Run:  python3 demos/02_jump_point.py
 """
 
 import numpy as np
 
-from logsum_prox import (
-    OracleConfig,
-    ProxParams,
-    oracle_prox,
-    oracle_z_star,
-    prox_scalar,
-    q_objective,
-    r2,
-    z_star,
-)
+from logsum_prox import ProxParams, prox_scalar, q_objective, r2, z_star
 
 
 def tie_gap(p, z):
@@ -43,12 +35,6 @@ res = z_star(p)
 print(f"\nsolve:              z_star = {res.z_star:.15f} "
       f"({res.iterations} iterations, residual {res.residual:.2e})")
 
-# brute force cross-check: sweep the grid oracle until its minimizer jumps
-cfg = OracleConfig(grid_points=20_001)
-grid_zs = oracle_z_star(p, cfg)
-print(f"grid oracle:        z_star = {grid_zs:.15f}   "
-      f"(difference {abs(grid_zs - res.z_star):.2e})")
-
 # at the jump point both branches attain the same objective value
 zs = res.z_star
 pair = prox_scalar(p, zs)
@@ -63,4 +49,3 @@ for dz in (-1e-6, 1e-6):
 
 # ... and the nonzero branch value sits on r2
 print(f"\nr2(z_star) = {r2(p, zs):.15f}")
-print(f"oracle prox just above the jump: {oracle_prox(p, zs + 1e-4, cfg):.12f}")

@@ -265,10 +265,8 @@ def cmd_irl1_failures(args) -> int:
             lines += [f"  {iv}" for iv in report.intervals]
         else:
             lines.append("failure intervals: none (iteration is exact for every z)")
-        for z, lim, tp, ag in sweep_rows:
-            lines.append(
-                f"z={_fmt6(z)} irl1={_fmt6(lim)} prox={_fmt6(tp)} agree={'yes' if ag else 'no'}"
-            )
+        lines += ["z=%.6g irl1=%.6g prox=%.6g agree=%s" % (z, lim, tp, "yes" if ag else "no")
+                  for z, lim, tp, ag in sweep_rows]
         return lines
 
     def csv():

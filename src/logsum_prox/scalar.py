@@ -150,9 +150,9 @@ class ProxResult(NamedTuple):
 class ZStarResult(NamedTuple):
     """Outcome of the jump-point solve, as a ``NamedTuple``.
 
-    ``z_star`` has a relative error of at most ``1e-14`` when
-    ``c = eps/sqrt(lam) <= 0.99`` and at most ``1e-11`` for ``c`` closer to
-    1, where the root of the tie gap turns double.  ``bracket`` is the
+    ``z_star`` has a relative error of at most ``1e-14`` for every
+    ``c = eps/sqrt(lam) < 1``, also as ``c`` nears 1, where the root of the
+    tie gap turns double.  ``bracket`` is the
     a-priori root bracket ``(2*sqrt(lam)-eps, lam/eps)`` in z-units (its
     upper end is ``inf`` where ``lam/eps`` overflows).  ``iterations``
     counts the evaluations of ``g`` (at most 64) and ``residual`` is
@@ -237,8 +237,9 @@ def r1(params: ProxParams, z: float) -> float:
     """Smaller root of ``x = z - lam/(eps + x)``; strictly decreasing in ``z``.
 
     Near ``lam/eps``, where ``(z - eps)/2 - sqrt(...)`` cancels, it is taken
-    by Vieta's formula from ``r2``: for ``eps/sqrt(lam) <= 0.98`` its relative
-    error there is below ``1e-11``, and its sign is right on either side.
+    by Vieta's formula from ``r2``: for every ``eps/sqrt(lam) < 1`` its
+    relative error there is below ``1e-11``, and its sign is right on either
+    side.
     """
     return _roots(params, z)[0]
 

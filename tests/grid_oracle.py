@@ -1,4 +1,4 @@
-"""Brute-force reference minimizer, independent of the closed forms.
+"""Brute-force reference minimizer for the test suite, independent of the closed forms.
 
 The oracle locates the global minimizer of the scalar objective by dense
 grid search plus zoomed refinement.  It never touches ``r1``/``r2`` or the
@@ -19,25 +19,17 @@ Two precision details matter:
 Ties are broken toward smaller ``|x|``.  The search radius ``|z| + 1`` is
 absolute, not a multiple of ``sqrt(lam)``, so the oracle is evidence for the
 acceptance band (``lam``, ``eps`` and ``z`` near 1) only, not at every scale.
+
+The grid of ``grid_points`` (at least 1000) spans ``[-R, R]``; each of three
+refinement rounds shrinks the window 100x and re-grids it as finely.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import RegimeError
-from .scalar import ProxParams, Regime
-
-__all__ = [
-    "OracleConfig",
-    "OracleProxInfo",
-    "oracle_prox",
-    "oracle_prox_info",
-    "oracle_z_star",
-]
+from logsum_prox import ProxParams, Regime, RegimeError
 
 # Fixed zoom of the refinement window per round, and the number of rounds.
 _ZOOM = 100.0
@@ -48,28 +40,7 @@ _REFINE_ROUNDS = 3
 _NEAR_TIE_GAP = 1e-12
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Grid-search budget.
-
-    The initial grid spans ``[-R, R]`` with ``R = |z| + 1``; each of the
-    three refinement rounds shrinks the window 100x around the incumbent
-    and re-grids it with the same number of points.
-    """
-
-    grid_points: int = 2_000_000
-
-    def __post_init__(self):
-        if self.grid_points < 1000:
-            raise ValueError(f"grid_points must be >= 1000, got {self.grid_points}")
-
-    def final_spacing(self, z: float) -> float:
-        radius = abs(z) + 1.0
-        return 2.0 * radius / _ZOOM**_REFINE_ROUNDS / (self.grid_points - 1)
-
-
-@dataclass(frozen=True)
-class OracleProxInfo:
+class OracleProxInfo(NamedTuple):
     value: float
     final_spacing: float
     near_tie: bool
@@ -89,23 +60,24 @@ def _q_diff(params: ProxParams, z: float, x: np.ndarray, c: float) -> np.ndarray
 
 
 def _grid_argmin(x: np.ndarray, vals: np.ndarray) -> float:
-    # smallest value; among exact ties, the point of smallest |x|
-    return float(x[np.lexsort((np.abs(x), vals))[0]])
+    # smallest value; among exact ties, the first point of smallest |x|
+    ties = x[np.flatnonzero(vals == vals.min())]
+    return float(ties[np.argmin(np.abs(ties))])
 
 
-def oracle_prox_info(params: ProxParams, z: float, cfg: OracleConfig | None = None) -> OracleProxInfo:
+def oracle_prox_info(params: ProxParams, z: float, grid_points: int) -> OracleProxInfo:
     """Grid minimizer of the scalar objective, with resolution metadata."""
-    if cfg is None:
-        cfg = OracleConfig()
+    if grid_points < 1000:
+        raise ValueError(f"grid_points must be >= 1000, got {grid_points}")
     radius = abs(z) + 1.0
     lo, hi = -radius, radius
-    grid = np.append(np.linspace(lo, hi, cfg.grid_points), 0.0)
+    grid = np.append(np.linspace(lo, hi, grid_points), 0.0)
     q = _q_values(params, z, grid)
 
     # candidate basins: interior grid local minima, both endpoints and the
     # kink appended at index n, keyed by point so that a grid point equal to
     # 0.0 is seeded once; ranked by objective, then by |x|
-    n = cfg.grid_points
+    n = grid_points
     interior = np.where((q[1:-1] <= q[:-2]) & (q[1:-1] <= q[2:]))[0] + 1
     cand = {float(grid[i]): i for i in (*interior, 0, n - 1, n)}
     seeds = sorted(cand, key=lambda x: (float(q[cand[x]]), abs(x)))[:6]
@@ -120,7 +92,7 @@ def oracle_prox_info(params: ProxParams, z: float, cfg: OracleConfig | None = No
             # can never move to a worse point; each seed stays in its own
             # basin (the kink at 0 is always one of the seeds)
             g = np.append(
-                np.linspace(max(lo, x - span / 2.0), min(hi, x + span / 2.0), cfg.grid_points),
+                np.linspace(max(lo, x - span / 2.0), min(hi, x + span / 2.0), grid_points),
                 x,
             )
             x = _grid_argmin(g, _q_diff(params, z, g, x))
@@ -139,17 +111,12 @@ def oracle_prox_info(params: ProxParams, z: float, cfg: OracleConfig | None = No
             best = x
     return OracleProxInfo(
         value=best,
-        final_spacing=cfg.final_spacing(z),
+        final_spacing=2.0 * radius / _ZOOM**_REFINE_ROUNDS / (grid_points - 1),
         near_tie=tie_gap < _NEAR_TIE_GAP,
     )
 
 
-def oracle_prox(params: ProxParams, z: float, cfg: OracleConfig | None = None) -> float:
-    """Grid minimizer of the scalar objective (value only)."""
-    return oracle_prox_info(params, z, cfg).value
-
-
-def oracle_z_star(params: ProxParams, cfg: OracleConfig | None = None) -> float:
+def oracle_z_star(params: ProxParams, grid_points: int) -> float:
     """Jump point located purely from the oracle.
 
     Sweeps the bracket ``[2*sqrt(lam)-eps, lam/eps]`` for the z at which the
@@ -165,19 +132,16 @@ def oracle_z_star(params: ProxParams, cfg: OracleConfig | None = None) -> float:
     cut = 0.5 * (math.sqrt(params.lam) - params.eps)
 
     def jumped(z: float) -> bool:
-        return oracle_prox(params, z, cfg) > cut
+        return oracle_prox_info(params, z, grid_points).value > cut
 
-    # coarse sweep to find a sign change of the indicator
-    sweep = np.linspace(lo, hi, 17)
-    a = lo
-    b = None
-    for z in sweep[1:]:
+    # coarse sweep to find a sign change of the indicator; unless it finds
+    # one earlier, the jump sits in the last cell
+    a, b = lo, hi
+    for z in np.linspace(lo, hi, 17)[1:]:
         if jumped(float(z)):
             b = float(z)
             break
         a = float(z)
-    if b is None:  # jump sits in the last cell
-        b = hi
     tol = 1e-8 * max(1.0, hi - lo)
     while (b - a) > tol:
         mid = 0.5 * (a + b)

@@ -12,17 +12,15 @@ import pytest
 from mpmath import mp, mpf
 from mpmath import sqrt as msqrt
 
+from grid_oracle import oracle_prox_info, oracle_z_star
 from logsum_prox import (
     FailureCase,
-    OracleConfig,
     ProxParams,
     Regime,
     failure_intervals,
     irl1_predict_limit,
     irl1_simulate,
     logdet_penalty,
-    oracle_prox_info,
-    oracle_z_star,
     prox_matrix,
     prox_scalar,
     prox_vector,
@@ -91,11 +89,10 @@ def _sample_triples(rng, n):
 def test_criterion_1_oracle_equivalence():
     with criterion(1, "closed-form prox matches the grid oracle over 1e4 triples"):
         rng = np.random.default_rng(101)
-        cfg = OracleConfig(grid_points=10_001)
         triples = _sample_triples(rng, 10_000)
         worst = 0.0
         for p, z in triples:
-            info = oracle_prox_info(p, z, cfg)
+            info = oracle_prox_info(p, z, 10_001)
             closed = prox_scalar(p, z).canonical
             diff = abs(info.value - closed)
             tol = 10.0 * info.final_spacing
@@ -110,7 +107,7 @@ def test_criterion_2_jump_point_landmarks():
         res = z_star(P31)
         lo, hi = 2.0 * math.sqrt(3.0) - 1.0, 3.0
         assert lo < res.z_star < hi
-        grid = oracle_z_star(P31, OracleConfig(grid_points=20_001))
+        grid = oracle_z_star(P31, 20_001)
         assert abs(grid - res.z_star) <= 1e-6
         d = 1e-6
         assert tie_gap(P31, res.z_star - d) > 0.0 > tie_gap(P31, res.z_star + d)

@@ -3,43 +3,30 @@
 import numpy as np
 import pytest
 
-from logsum_prox import (
-    OracleConfig,
-    ProxParams,
-    RegimeError,
-    oracle_prox,
-    oracle_prox_info,
-    oracle_z_star,
-    prox_scalar,
-    r2,
-    z_star,
-)
+from grid_oracle import oracle_prox_info, oracle_z_star
+from logsum_prox import ProxParams, RegimeError, prox_scalar, r2, z_star
 
 P31 = ProxParams(3.0, 1.0)
 P23 = ProxParams(2.0, 3.0)
 
-LIGHT = OracleConfig(grid_points=20_001)
+LIGHT = 20_001
 Z_STAR_31 = 2.571083193225166
 
 
 class TestConfig:
-    def test_defaults(self):
-        cfg = OracleConfig()
-        assert cfg.grid_points == 2_000_000
-
     @pytest.mark.parametrize("kwargs", [{"grid_points": 999}])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
-            OracleConfig(**kwargs)
+            oracle_prox_info(P31, 2.9, **kwargs)
 
     def test_final_spacing(self):
-        cfg = OracleConfig(grid_points=20_001)
-        assert cfg.final_spacing(2.9) == pytest.approx(2 * 3.9 / 1e6 / 20_000, rel=1e-12)
+        info = oracle_prox_info(P31, 2.9, 20_001)
+        assert info.final_spacing == pytest.approx(2 * 3.9 / 1e6 / 20_000, rel=1e-12)
 
 
 class TestOracleProx:
     def test_zero_region_convex(self):
-        assert abs(oracle_prox(P23, 0.5, LIGHT)) <= 1e-8
+        assert abs(oracle_prox_info(P23, 0.5, LIGHT).value) <= 1e-8
 
     def test_matches_nonzero_branch(self):
         info = oracle_prox_info(P31, 2.9, LIGHT)
@@ -49,7 +36,7 @@ class TestOracleProx:
     def test_exposes_the_jump(self):
         # at z = 2.5 the nonzero stationary point exists (r2 = 1) but the
         # global minimizer is 0
-        v = oracle_prox(P31, 2.5, LIGHT)
+        v = oracle_prox_info(P31, 2.5, LIGHT).value
         assert abs(v) <= 1e-8
         assert abs(v - 1.0) > 0.9
 
@@ -86,9 +73,9 @@ class TestOracleProx:
             assert info.value == pytest.approx(closed, abs=10 * info.final_spacing)
 
     def test_default_config_resolution(self):
-        # one call at the full default budget: agreement at 10x the (much
-        # finer) default spacing
-        info = oracle_prox_info(P31, 2.9, OracleConfig())
+        # one call at a budget of 2,000,000 points: agreement at 10x its
+        # much finer spacing
+        info = oracle_prox_info(P31, 2.9, 2_000_000)
         assert info.value == pytest.approx(r2(P31, 2.9), abs=10 * info.final_spacing)
 
 

@@ -292,9 +292,12 @@ class TestRoots:
             (1e20, 1e-2, 1e22 * (1 - 1e-6)),
             (1e4, 1.0, 1e4 * (1 - 1e-8)),  # relative error 2e-5
         ]
-        while len(cases) < 300:
+        while len(cases) < 600:
             s = 10.0 ** rng.uniform(-150, 150)
-            eps = s * 10.0 ** rng.uniform(-300, math.log10(0.98))  # c = eps/s up to 0.98
+            if len(cases) < 300:
+                eps = s * 10.0 ** rng.uniform(-300, math.log10(0.98))  # c = eps/s up to 0.98
+            else:
+                eps = s * rng.uniform(0.98, 0.9999)  # the band next to the regime boundary
             if eps > 0 and math.isfinite(s * s / eps):
                 p = ProxParams(s * s, eps)
                 z = p.threshold * (1 - 10.0 ** rng.uniform(-12, -3))
@@ -491,12 +494,14 @@ def mp_z_star(lam, eps, z0):
     Bisection on a bracket of relative width 1e-6 about ``z0`` (cut at the
     left end ``2*sqrt(lam) - eps`` of the gap's domain); fails if the gap
     does not change sign on it, i.e. if ``z0`` is off by more than that.
+    The discriminant is clamped at 0: at that left end it rounds to either
+    side of 0 in mpmath too.
     """
     with mp.workdps(80):
         lam, eps = mpf(lam), mpf(eps)
 
         def gap(z):
-            r2 = (z - eps) / 2 + mp.sqrt((z + eps) ** 2 / 4 - lam)
+            r2 = (z - eps) / 2 + mp.sqrt(max((z + eps) ** 2 / 4 - lam, 0))
             return ((r2 - z) ** 2 - z**2) / (2 * lam) + mp.log1p(r2 / eps)
 
         a = max(mpf(z0) * (1 - mpf("1e-6")), 2 * mp.sqrt(lam) - eps)
@@ -536,13 +541,21 @@ class TestZStarAccuracy:
             if math.sqrt(lam) > eps:
                 pairs.append((float(lam), float(eps)))
         for lam, eps in pairs:
-            bound = 1e-14 if eps / math.sqrt(lam) <= 0.99 else 1e-11
-            assert _rel_err(lam, eps) <= bound, (lam, eps)
+            assert _rel_err(lam, eps) <= 1e-14, (lam, eps)
 
     @pytest.mark.parametrize("c", [0.999, 1 - 1e-6, 1 - 1e-9])
     def test_near_double_root(self, c):
         # g(1) = g'(1) = 0 at c = 1; the root turns double as c -> 1
-        assert _rel_err(1.0, c) <= 1e-11
+        assert _rel_err(1.0, c) <= 1e-14
+
+    @pytest.mark.parametrize("d", [1e-2, 1e-3, 1e-6, 1e-9, 1e-12, 1e-14])
+    def test_band_next_to_the_regime_boundary(self, d):
+        # c = 1 - d, 60 pairs per band with lam log-uniform in [1e-100, 1e100]
+        rng = np.random.default_rng(19)
+        for lam in 10.0 ** rng.uniform(-100.0, 100.0, 60):
+            lam = float(lam)
+            eps = (1.0 - d) * math.sqrt(lam)
+            assert _rel_err(lam, eps) <= 1e-14, (lam, eps)
 
     @given(st.floats(-300.0, 300.0), st.floats(-150.0, -1e-3))
     @settings(max_examples=200, deadline=None)

@@ -5,12 +5,14 @@ The benchmark's traced runs are the only other code that reads them, so a
 renamed or deleted one would otherwise go unnoticed by this suite.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
 import logsum_prox
 from logsum_prox import (
-    ProxParams, cli, errors, irl1, matrix, matrix_io, oracle, prox_vector, scalar, vector,
+    ProxParams, cli, errors, irl1, matrix, matrix_io, prox_vector, scalar, vector,
 )
 
 PUBLIC = {
@@ -21,14 +23,13 @@ PUBLIC = {
     "limit_matches_prox",
     "MatrixProxResult", "logdet_penalty", "matrix_objective", "prox_matrix", "svd",
     "read_matrix", "write_matrix",
-    "OracleConfig", "OracleProxInfo", "oracle_prox", "oracle_prox_info", "oracle_z_star",
     "ProxKind", "ProxParams", "ProxResult", "Regime", "ZStarResult", "prox_scalar",
     "q_objective", "r1", "r2", "z_star",
     "VectorProxResult", "logsum_penalty", "prox_vector", "vector_objective",
     "__version__",
 }
 
-MODULES = (errors, irl1, matrix, matrix_io, oracle, scalar, vector)
+MODULES = (errors, irl1, matrix, matrix_io, scalar, vector)
 
 TRACER_PATCHES = [
     (scalar, "z_star"),
@@ -46,11 +47,17 @@ TRACER_PATCHES = [
 
 
 def test_public_names():
-    assert len(PUBLIC) == 45
-    assert len(logsum_prox.__all__) == 45
+    assert len(PUBLIC) == 40
+    assert len(logsum_prox.__all__) == 40
     assert set(logsum_prox.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(logsum_prox, name), name
+
+
+def test_the_grid_oracle_is_not_shipped():
+    # it is test evidence: tests/grid_oracle.py
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("logsum_prox.oracle")
 
 
 def test_package_exports_the_union_of_the_module_lists():
