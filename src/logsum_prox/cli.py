@@ -28,14 +28,10 @@ from .errors import ConvergenceError, DomainError, MatrixFormatError, Preconditi
 from .irl1 import (DEFAULT_MAX_ITERS, failure_intervals, irl1_predict_limit, irl1_simulate,
                    limit_matches_prox)
 from .matrix import prox_matrix
-from .scalar import ProxParams, Regime, prox_scalar, r2, z_star
+from .scalar import ProxParams, Regime, r2, z_star
 from .vector import prox_vector
 
 __all__ = ["main", "build_parser"]
-
-
-def _fmt6(v: float) -> str:
-    return format(float(v), ".6g")
 
 
 def _positive_float(text: str) -> float:
@@ -153,11 +149,11 @@ def cmd_prox(args) -> int:
     def text():
         lines = [f"regime: {params.regime().value}"]
         if zs is not None:
-            lines.append(f"z_star: {_fmt6(zs)}")
+            lines.append("z_star: %.6g" % zs)
         for i, (zi, vi) in enumerate(pairs):
             mark = "  (ambiguous: 0 and sgn(z)*r2(z_star) tie)" if i in amb else ""
-            lines.append(f"prox({_fmt6(zi)}) = {_fmt6(vi)}{mark}")
-        lines.append(f"objective: {_fmt6(res.objective_value)}")
+            lines.append("prox(%.6g) = %.6g%s" % (zi, vi, mark))
+        lines.append("objective: %.6g" % res.objective_value)
         return lines
 
     _emit(
@@ -187,10 +183,10 @@ def cmd_zstar(args) -> int:
     _emit(
         args,
         lambda: [
-            f"z_star: {_fmt6(res.z_star)}",
-            f"bracket: [{_fmt6(lo)}, {_fmt6(hi)}]",
+            "z_star: %.6g" % res.z_star,
+            "bracket: [%.6g, %.6g]" % (lo, hi),
             f"iterations: {res.iterations}",
-            f"residual: {_fmt6(res.residual)}",
+            "residual: %.6g" % res.residual,
         ],
         csv=lambda: ("z_star,bracket_low,bracket_high,iterations,residual",
                      [(res.z_star, lo, hi, res.iterations, res.residual)]),
@@ -213,7 +209,7 @@ def cmd_irl1_simulate(args) -> int:
         lambda: [
             f"iterations: {len(trace.iterates) - 1}",
             f"stop_reason: {trace.stop_reason.value}",
-            f"limit_estimate: {_fmt6(trace.limit_estimate)}",
+            "limit_estimate: %.6g" % trace.limit_estimate,
         ],
         csv=lambda: ("iter,x", enumerate(trace.iterates)),
         payload=lambda: {
@@ -234,7 +230,7 @@ def cmd_irl1_predict(args) -> int:
     _emit(
         args,
         lambda: [
-            f"limit: {_fmt6(pred.limit)}",
+            "limit: %.6g" % pred.limit,
             f"classification: {kind}",
             f"lemma: {pred.justification}",
         ],
@@ -249,17 +245,16 @@ def cmd_irl1_failures(args) -> int:
     report = failure_intervals(params, args.x0)
     sweep_rows = []
     if args.sweep is not None:
-        for z in _grid(*args.sweep):
-            z = float(z)
-            limit = irl1_predict_limit(params, z, args.x0).limit
-            true = prox_scalar(params, z).canonical
-            agree = limit_matches_prox(params, z, limit)
-            sweep_rows.append((z, limit, true, agree))
+        grid = _grid(*args.sweep).tolist()
+        limits = [irl1_predict_limit(params, z, args.x0).limit for z in grid]
+        true = prox_vector(params, grid).canonical.tolist()
+        sweep_rows = [(z, lim, tp, limit_matches_prox(params, z, lim))
+                      for z, lim, tp in zip(grid, limits, true)]
 
     def text():
         lines = [f"case: {report.case.value}"]
         if report.z_star is not None:
-            lines.append(f"z_star: {_fmt6(report.z_star)}")
+            lines.append("z_star: %.6g" % report.z_star)
         if report.intervals:
             lines.append("failure intervals:")
             lines += [f"  {iv}" for iv in report.intervals]
@@ -334,9 +329,9 @@ def cmd_matprox(args) -> int:
     rank_out = int(np.count_nonzero(res.d))
     _emit(args, lambda: [
         f"wrote x_star ({z.shape[0]}x{z.shape[1]}) to {args.outfile}",
-        "d: " + ",".join(_fmt6(v) for v in res.d),
+        "d: " + ",".join("%.6g" % v for v in res.d),
         "ambiguous_indices: " + (",".join(str(i) for i in res.ambiguous_indices) or "none"),
-        f"objective_value: {_fmt6(res.objective_value)}",
+        "objective_value: %.6g" % res.objective_value,
         f"rank: {rank_in} -> {rank_out}",
     ])
     return 0

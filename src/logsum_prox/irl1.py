@@ -234,11 +234,10 @@ def irl1_predict_limit(params: ProxParams, z: float, x0: float) -> LimitPredicti
     if a >= params.threshold:
         lim = r2(params, a)
         return LimitPrediction(s * lim, _R2 if lim > 0 else _ZERO, "conv3")
-    lo = params.bracket_low
-    if params._convex:
-        return zeros["conv4" if (lo > 0 and a < lo) else "conv5"]
-    if a < lo:
+    if a < params.bracket_low:  # a > 0 here, so the bracket starts above 0
         return zeros["conv4"]
+    if params._convex:
+        return zeros["conv5"]
     r1a, r2a = _roots(params, a)
     if abs(x0 - r1a) <= _R1_EQ_TOL * abs(r1a):
         return LimitPrediction(s * r1a, _R1_FIXED_POINT, "conv6")
@@ -259,8 +258,12 @@ def failure_intervals(params: ProxParams, x0: float) -> FailureReport:
     * ``rs < x0 < top``:        fails on +/- [zx, z_star)
     * ``0 <= x0 < rs``:         fails on +/- (z_star, zx]
 
-    The first case that holds applies.  The negative-side interval is the
-    mirror image of the positive one.
+    The first case that holds applies, decided on the doubles ``x0`` and
+    ``r1(z_star)``, not on exact values.  Where ``2*sqrt(lam)-eps``,
+    ``z_star`` and ``lam/eps`` round to one double, ``r1(z_star)`` can round
+    below zero, so ``x0 = 0`` reads ``mid_x0`` where exact arithmetic gives
+    ``low_x0``; neither interval holds a double there.  The negative-side
+    interval is the mirror image of the positive one.
     """
     if not 0.0 <= x0 < math.inf:
         _check_x0(x0)

@@ -340,13 +340,11 @@ def _z_star_cached(lam: float, eps: float) -> ZStarResult:
 def prox_scalar(params: ProxParams, z: float) -> ProxResult:
     """Global minimizer set of ``q`` at ``z``, by the rule of :func:`_prox_values`.
 
-    Convex regime: ``{0}`` for ``|z| <= lam/eps`` (the boundary is
-    classified as zero; both branches agree there), else
-    ``{sgn(z) * r2(|z|)}``.
-
-    Nonconvex regime: ``{0}`` for ``|z| < z_star``,
-    ``{0, sgn(z) * r2(z_star)}`` for ``|z|`` within ``1e-12 * z_star`` of
-    ``z_star``, else ``{sgn(z) * r2(|z|)}``.
+    One rule for both regimes: ``{0}`` below the jump, ``{0, sgn(z) * r2(jump)}``
+    on it and ``{sgn(z) * r2(|z|)}`` above it.  Nonconvex: the jump is
+    ``z_star``, and on it means within ``1e-12 * z_star``.  Convex: the jump
+    is ``lam/eps``, classified as zero (both branches agree there), so no
+    input is on it.
 
     Raises ``PreconditionError`` for a non-finite ``z``.
     """
@@ -360,38 +358,31 @@ def prox_scalar(params: ProxParams, z: float) -> ProxResult:
     return ProxResult(ProxKind.ZERO if value == 0.0 else ProxKind.POINT, (value,))
 
 
-def _prox_values(params: ProxParams, zs: list[float]) -> tuple[list[float], list[int], float | None]:
-    """Canonical prox value of each float in ``zs``, the positions on the jump point, and ``z_star``.
+def _prox_values(params: ProxParams, zs: list[float]) -> tuple[list[float], list[int], float]:
+    """Canonical prox value of each float in ``zs``, the positions on the jump point, and the jump.
 
-    The branch rule, written once for every elementwise path: zero for
-    ``|z| <= lam/eps`` (convex) or ``|z| < z_star`` (nonconvex), a pair with
-    canonical zero within ``1e-12 * z_star`` of ``z_star``, otherwise
-    ``sgn(z) * r2(|z|)``.  A plain loop over Python floats, with no object
-    per element; one loop per regime, so the convex loop makes one
-    comparison per zero.  ``z_star`` is ``None`` in the convex regime.
+    The branch rule, written once for every elementwise path and both
+    regimes: zero where ``|z| - jump <= above``, a pair (canonical zero)
+    where also ``jump - |z| <= below``, otherwise ``sgn(z) * r2(|z|)``.
+    Convex: ``jump = lam/eps``, ``above = 0`` (the boundary is zero) and
+    ``below = -1``, so no pair.  Nonconvex: ``jump = z_star`` and
+    ``above = below = 1e-12 * z_star``.  Near the jump ``|z| - jump`` is
+    exact, and distinct doubles never subtract to zero.  A plain loop over
+    Python floats, with no object per element.
     """
+    if params._convex:
+        jump, above, below = params.threshold, 0.0, -1.0
+    else:
+        jump = _z_star_cached(params.lam, params.eps).z_star
+        above = below = 1e-12 * jump
     values: list[float] = []
     pairs: list[int] = []
     append = values.append
-    if params._convex:
-        cut = params.threshold
-        for z in zs:
-            a = abs(z)
-            if a <= cut:
-                append(0.0)
-            elif z > 0:
-                append(r2(params, a))
-            else:
-                append(-r2(params, a))
-        return values, pairs, None
-    jump = _z_star_cached(params.lam, params.eps).z_star
-    tol = 1e-12 * jump
-    for i, z in enumerate(zs):
+    for z in zs:
         a = abs(z)
-        if abs(a - jump) <= tol:
-            append(0.0)
-            pairs.append(i)
-        elif a < jump:
+        if a - jump <= above:
+            if jump - a <= below:
+                pairs.append(len(values))
             append(0.0)
         elif z > 0:
             append(r2(params, a))

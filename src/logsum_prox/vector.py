@@ -97,9 +97,10 @@ def _validated_vector(z) -> np.ndarray:
 def prox_vector(params: ProxParams, z) -> VectorProxResult:
     """Apply the scalar operator to every component of ``z``.
 
-    One pass of the scalar branch rule over ``z.tolist()``; the canonical
-    values and ambiguous indices equal ``prox_scalar`` on each component,
-    bit for bit.
+    The rule of ``prox_scalar``: zero below the jump, the pair (canonical
+    zero, an ambiguous index) on it, ``sgn(z) * r2(|z|)`` above it.  One pass
+    of that rule over ``z.tolist()``; the canonical values and ambiguous
+    indices equal ``prox_scalar`` on each component, bit for bit.
     """
     z = _validated_vector(z)
     values, ambiguous, _ = _prox_values(params, z.tolist())

@@ -250,6 +250,7 @@ def _candidate_objectives(params, z, cands):
     return fro + pen
 
 
+@mp.workdps(30)
 def _gram_logdet(params, x):
     """log det(I + (x x^T)^{1/2}/eps) via a high-precision symmetric
     eigendecomposition of the Gram matrix.
@@ -259,7 +260,6 @@ def _gram_logdet(params, x):
     route in mpmath keeps the independent evaluation accurate to far below
     the 1e-9 comparison tolerance.
     """
-    mp.dps = 30
     x = np.asarray(x, dtype=float)
     if x.shape[0] > x.shape[1]:
         x = x.T
@@ -327,8 +327,7 @@ def test_criterion_7_matrix_prox():
 
 
 def test_criterion_8_near_unbiasedness():
-    with criterion(8, "large-input expansion bound 8*lam^3/(|z|+eps)^5 on 20x1000 grid"):
-        mp.dps = 40
+    with criterion(8, "large-input expansion bound 8*lam^3/(|z|+eps)^5 on 20x1000 grid"), mp.workdps(40):
         rng = np.random.default_rng(505)
         for _ in range(20):
             eps = float(np.exp(rng.uniform(np.log(0.05), np.log(5.0))))

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from logsum_prox import (
@@ -305,12 +305,16 @@ class TestScaleCovariance:
 
     # z = 4*eps, x0 = eps at (3, 1), scaled to lam = 3*2**-132, eps = 2**-66
     @example(case=(ProxParams(3.0, 1.0), 4.0, 1.0), j=-66, offset=0.0)
+    # a subnormal z: z*2**-40 underflows to 0.0, outside the exact domain, so skipped
+    @example(case=(ProxParams(1.0, 1.0), 2.2250738585e-313, 1.0), j=-40, offset=0.0)
     @given(predict_cases(whole_range=False), st.sampled_from([5, 20, 40, -5, -20, -40]),
            st.floats(0.0, 3e-8))
     @settings(max_examples=300, deadline=None)
     def test_power_of_two_scaling(self, case, j, offset):
         p, z, x0 = case
         k = 2.0**j
+        # only inputs whose scaled doubles are exact (no overflow, no underflow)
+        assume(all(v * k / k == v for v in (z, x0, p.eps)) and p.lam * k * k / k / k == p.lam)
         q, zq, x0q = ProxParams(p.lam * k * k, p.eps * k), z * k, x0 * k
 
         def scaled(xs):
@@ -408,6 +412,18 @@ class TestFailureIntervals:
         assert pos.lower == ZS31
         assert pos.upper == pytest.approx(0.1 + 3.0 / 1.1, abs=1e-15)
         assert not pos.lower_closed and pos.upper_closed
+
+    def test_one_double_bracket(self):
+        # 2*sqrt(lam) - eps, z_star and lam/eps round to one double here, and r1(z_star)
+        # (5.75e-13 exactly) rounds to -4.4e-16, so x0 = 0 is mid_x0 on the doubles
+        # rather than low_x0; either way no double fails: the exact bracket holds none
+        p = ProxParams(1.0000000000023026, 1.0000000000000004)
+        rep = failure_intervals(p, 0.0)
+        assert p.bracket_low == rep.z_star == p.threshold == 1.0000000000023022
+        assert rep.case is FailureCase.MID_X0
+        for iv in rep.intervals:
+            assert abs(iv.lower) == abs(iv.upper) == rep.z_star
+            assert not iv.contains(rep.z_star) and not iv.contains(-rep.z_star)
 
     def test_low_start_at_tiny_scale(self):
         # r1(z_star) = 1.3e-26 here: an absolute knife-edge tolerance would swallow x0 = 0

@@ -1,5 +1,8 @@
 """Grid oracle: self-consistency and agreement with the closed forms."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -92,3 +95,16 @@ class TestOracleZStar:
     def test_regime_error(self):
         with pytest.raises(RegimeError):
             oracle_z_star(P23, LIGHT)
+
+
+def test_oracle_imports_only_the_parameter_types():
+    # the oracle is evidence only while it shares no code with the closed forms
+    tree = ast.parse(Path(__file__).with_name("grid_oracle.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "logsum_prox" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "logsum_prox":
+            assert node.module == "logsum_prox", node.module
+            names |= {a.name for a in node.names}
+    assert names <= {"ProxParams", "Regime", "RegimeError"}
