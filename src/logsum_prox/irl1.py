@@ -24,7 +24,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import PreconditionError
-from .scalar import ProxParams, _roots, _z_star_cached, prox_scalar, r1, r2
+from .scalar import ProxParams, prox_scalar, r1, r2
 
 __all__ = [
     "StopReason",
@@ -182,6 +182,7 @@ def irl1_simulate(params: ProxParams, z: float, x0: float,
     a = abs(z)
     if not a < math.inf:
         raise PreconditionError(f"z must be finite, got {z!r}")
+    z, a = float(z), float(a)
     stop_tol = DEFAULT_STOP_TOL * math.sqrt(params.lam)
     iterates = [x0]
     reason = StopReason.MAX_ITERS
@@ -223,6 +224,7 @@ def irl1_predict_limit(params: ProxParams, z: float, x0: float) -> LimitPredicti
     a = abs(z)
     if not a < math.inf:
         raise PreconditionError(f"z must be finite, got {z!r}")
+    a, x0 = float(a), float(x0)
     s = 1.0 if z >= 0 else -1.0
     zeros = _ZEROS[s]  # every limit is s*magnitude, so a zero limit at negative z is -0.0
     if a == 0.0:
@@ -238,12 +240,12 @@ def irl1_predict_limit(params: ProxParams, z: float, x0: float) -> LimitPredicti
         return zeros["conv4"]
     if params._convex:
         return zeros["conv5"]
-    r1a, r2a = _roots(params, a)
+    r1a = r1(params, a)
     if abs(x0 - r1a) <= _R1_EQ_TOL * abs(r1a):
         return LimitPrediction(s * r1a, _R1_FIXED_POINT, "conv6")
     if x0 < r1a:
         return zeros["conv6"]
-    return LimitPrediction(s * r2a, _R2, "conv6")
+    return LimitPrediction(s * r2(params, a), _R2, "conv6")
 
 
 def failure_intervals(params: ProxParams, x0: float) -> FailureReport:
@@ -270,7 +272,7 @@ def failure_intervals(params: ProxParams, x0: float) -> FailureReport:
     x0 = float(x0)
     if params._convex:
         return FailureReport(x0, None, (), FailureCase.EXACT)
-    zs = _z_star_cached(params.lam, params.eps).z_star
+    zs = params._solve.z_star
     if x0 >= params.r1_max:
         pos = Interval(params.bracket_low, zs, True, False)
         case = FailureCase.HIGH_X0
@@ -289,5 +291,6 @@ def failure_intervals(params: ProxParams, x0: float) -> FailureReport:
 
 def limit_matches_prox(params: ProxParams, z: float, limit: float) -> bool:
     """Whether ``limit`` is within ``1e-8*sqrt(lam)`` of a member of the true minimizer set at ``z``."""
+    limit = float(limit)  # prox_scalar converts z
     tol = _MATCH_TOL * math.sqrt(params.lam)
     return any(abs(limit - v) <= tol for v in prox_scalar(params, z).values)

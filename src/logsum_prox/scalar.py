@@ -24,22 +24,18 @@ function of one number.  :func:`z_star` solves for it in the coordinate
 ``z_star = s*(t* - c + 1/t*)``: no ``lam/eps`` is formed and no tolerance
 is involved, so the solve holds over the whole double range.
 
-All functions here are pure.  The ``z_star`` solve is memoized per
-``(lam, eps)`` in one bounded ``lru_cache`` that :func:`z_star`,
-:func:`prox_scalar` and ``irl1.failure_intervals`` all read, so a caller
-that asks for the jump point and then applies the prox solves once.  The
-cache has no lock of its own; the solve is deterministic, so two threads
-that miss the cache together compute the identical value.  The module is
-safe for concurrent use.
+All functions here are pure, and the module holds no mutable state: the
+jump point is solved once, when a nonconvex :class:`ProxParams` is built,
+and every reader takes it from the pair.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError, PreconditionError, RegimeError
@@ -80,27 +76,29 @@ class ProxParams:
     """Parameter pair ``(lam, eps)`` of the operator, both strictly positive.
 
     ``lam`` is the prox index (step size) and ``eps`` the penalty scale of
-    ``g(w) = log(1 + |w|/eps)``.  The boundary ``sqrt(lam) == eps`` is
-    classified as convex; both regime branches give the same operator there
-    because ``r2(lam/eps) == 0``.
+    ``g(w) = log(1 + |w|/eps)``; both are stored as doubles, from any real
+    type, numpy's included.  The boundary ``sqrt(lam) == eps`` is classified
+    as convex; both regime branches give the same operator there because
+    ``r2(lam/eps) == 0``.
 
-    Three constants of the pair are attributes, not fields:
+    Constants of the pair are attributes, not fields, derived once here:
 
     * ``threshold = lam/eps``: the zero/nonzero threshold of the
       convex-regime prox;
     * ``bracket_low = 2*sqrt(lam) - eps``: below this ``|z|`` the
       stationarity equation has no real roots;
     * ``r1_max = sqrt(lam) - eps``: the largest value of ``r1`` on the
-      bracket, taken at ``bracket_low``.
+      bracket, taken at ``bracket_low``;
+    * the jump point of a nonconvex pair, whose solve :func:`z_star` returns.
     """
 
     lam: float
     eps: float
 
     def __post_init__(self):
-        if not (isinstance(self.lam, (int, float)) and math.isfinite(self.lam) and self.lam > 0):
+        if not (isinstance(self.lam, numbers.Real) and math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be a positive finite real, got {self.lam!r}")
-        if not (isinstance(self.eps, (int, float)) and math.isfinite(self.eps) and self.eps > 0):
+        if not (isinstance(self.eps, numbers.Real) and math.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be a positive finite real, got {self.eps!r}")
         lam, eps = float(self.lam), float(self.eps)
         object.__setattr__(self, "lam", lam)
@@ -114,6 +112,14 @@ class ProxParams:
         object.__setattr__(self, "threshold", lam / eps)
         object.__setattr__(self, "bracket_low", 2.0 * s - eps)
         object.__setattr__(self, "r1_max", s - eps)
+        # The jump-point solve (None when convex) and _prox_values' rule (jump, above, below)
+        if s <= eps:
+            solve, rule = None, (self.threshold, 0.0, -1.0)
+        else:
+            solve = _solve_z_star(self, s)
+            rule = (solve.z_star, 1e-12 * solve.z_star, 1e-12 * solve.z_star)
+        object.__setattr__(self, "_solve", solve)
+        object.__setattr__(self, "_rule", rule)
 
     def regime(self) -> Regime:
         return Regime.CONVEX if self._convex else Regime.NONCONVEX
@@ -166,7 +172,8 @@ class ZStarResult(NamedTuple):
 
 
 def q_objective(params: ProxParams, z: float, x: float) -> float:
-    """Value of ``(x - z)^2 / (2*lam) + log(1 + |x|/eps)``."""
+    """Value of ``(x - z)^2 / (2*lam) + log(1 + |x|/eps)``, in double."""
+    z, x = float(z), float(x)
     d = x - z
     # halved after the division (exact above the subnormal range), so 2*lam cannot overflow
     quad = 0.5 * (d * d / params.lam)
@@ -219,20 +226,6 @@ def _below_bracket(params: ProxParams, z: float) -> DomainError:
     )
 
 
-def _roots(params: ProxParams, z: float) -> tuple[float, float]:
-    """``(r1(z), r2(z))`` from one root radius; a root that ``(z - eps)/2 -/+ sqrt(...)``
-    cancels (``r2`` below ``eps``, ``r1`` below ``(z - eps)/32``) is taken from the other."""
-    half = 0.5 * z - 0.5 * params.eps  # halved first, so z - eps cannot overflow
-    rad = _root_radius(params, z)
-    r1_z = half - rad
-    if z < params.eps:
-        return r1_z, _by_vieta(params, z, r1_z)
-    r2_z = half + rad
-    if r1_z < 0.0625 * half:
-        r1_z = _by_vieta(params, z, r2_z)
-    return r1_z, r2_z
-
-
 def r1(params: ProxParams, z: float) -> float:
     """Smaller root of ``x = z - lam/(eps + x)``; strictly decreasing in ``z``.
 
@@ -241,7 +234,13 @@ def r1(params: ProxParams, z: float) -> float:
     relative error there is below ``1e-11``, and its sign is right on either
     side.
     """
-    return _roots(params, z)[0]
+    z = float(z)
+    half = 0.5 * z - 0.5 * params.eps  # halved first, so z - eps cannot overflow
+    rad = _root_radius(params, z)
+    r1_z = half - rad
+    if z >= params.eps and r1_z < 0.0625 * half:  # cancelled: r1 is below (z - eps)/32
+        return _by_vieta(params, z, half + rad)
+    return r1_z
 
 
 def r2(params: ProxParams, z: float) -> float:
@@ -253,7 +252,7 @@ def r2(params: ProxParams, z: float) -> float:
     Vieta's formula from ``r1``, so its sign is right even one double above
     ``lam/eps``.
     """
-    # _roots(params, z)[1], spelled out: the prox calls r2 once per element
+    z = float(z)
     half = 0.5 * z - 0.5 * params.eps
     rad = _root_radius(params, z)
     if z < params.eps:
@@ -287,21 +286,19 @@ def z_star(params: ProxParams) -> ZStarResult:
     ``[1, 2 + sqrt(2*(L + 1))]``, where ``g`` decreases from ``g(1) > 0``.
     Newton steps that leave the shrinking sign bracket are replaced by
     bisection, and the solve stops once ``|g|`` is down to the rounding
-    error of its terms, a few ulps from the root.  The result is cached per
-    ``(lam, eps)``.
+    error of its terms, a few ulps from the root.  The pair solved it when
+    it was built; this returns that record.
 
     Raises ``RegimeError`` when ``sqrt(lam) <= eps``.
     """
     if params._convex:
-        raise RegimeError(
-            f"no jump point when sqrt(lam) <= eps; got lam={params.lam}, eps={params.eps}"
-        )
-    return _z_star_cached(params.lam, params.eps)
+        raise RegimeError(f"no jump point when sqrt(lam) <= eps; got lam={params.lam}, eps={params.eps}")
+    return params._solve
 
 
-@lru_cache(maxsize=1024)  # bounded: a miss costs one solve of a few microseconds
-def _z_star_cached(lam: float, eps: float) -> ZStarResult:
-    s = math.sqrt(lam)
+def _solve_z_star(params: ProxParams, s: float) -> ZStarResult:
+    """The solve described at :func:`z_star`, for a nonconvex pair with ``s = sqrt(lam)``."""
+    eps = params.eps
     c = eps / s
     # L = log(1/c) from c itself, so that L and c agree to an ulp and the
     # near-double root at c -> 1 keeps its accuracy; once c underflows, from
@@ -333,8 +330,8 @@ def _z_star_cached(lam: float, eps: float) -> ZStarResult:
                 break
         t = t_next
     else:
-        raise ConvergenceError(f"jump-point solve did not settle in 64 steps (lam={lam!r}, eps={eps!r})")
-    return ZStarResult(s * (u + 1.0 / t), (2.0 * s - eps, lam / eps), it, abs(g))
+        raise ConvergenceError(f"jump-point solve did not settle in 64 steps (lam={params.lam!r}, eps={eps!r})")
+    return ZStarResult(s * (u + 1.0 / t), (params.bracket_low, params.threshold), it, abs(g))
 
 
 def prox_scalar(params: ProxParams, z: float) -> ProxResult:
@@ -350,6 +347,7 @@ def prox_scalar(params: ProxParams, z: float) -> ProxResult:
     """
     if not abs(z) < math.inf:
         raise PreconditionError(f"z must be finite, got {z!r}")
+    z = float(z)
     (value,), pairs, jump = _prox_values(params, [z])
     if pairs:
         other = r2(params, jump)
@@ -366,15 +364,12 @@ def _prox_values(params: ProxParams, zs: list[float]) -> tuple[list[float], list
     where also ``jump - |z| <= below``, otherwise ``sgn(z) * r2(|z|)``.
     Convex: ``jump = lam/eps``, ``above = 0`` (the boundary is zero) and
     ``below = -1``, so no pair.  Nonconvex: ``jump = z_star`` and
-    ``above = below = 1e-12 * z_star``.  Near the jump ``|z| - jump`` is
+    ``above = below = 1e-12 * z_star``.  The pair holds the three as
+    ``params._rule``, set when it was built.  Near the jump ``|z| - jump`` is
     exact, and distinct doubles never subtract to zero.  A plain loop over
     Python floats, with no object per element.
     """
-    if params._convex:
-        jump, above, below = params.threshold, 0.0, -1.0
-    else:
-        jump = _z_star_cached(params.lam, params.eps).z_star
-        above = below = 1e-12 * jump
+    jump, above, below = params._rule
     values: list[float] = []
     pairs: list[int] = []
     append = values.append

@@ -107,4 +107,7 @@ def test_oracle_imports_only_the_parameter_types():
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "logsum_prox":
             assert node.module == "logsum_prox", node.module
             names |= {a.name for a in node.names}
+        elif isinstance(node, ast.Attribute):
+            # nor the pair's private state, such as the jump point it solved (_solve, _rule)
+            assert not node.attr.startswith("_"), node.attr
     assert names <= {"ProxParams", "Regime", "RegimeError"}

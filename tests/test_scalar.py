@@ -23,13 +23,15 @@ from logsum_prox import (
     RegimeError,
     failure_intervals,
     irl1_predict_limit,
+    irl1_simulate,
+    limit_matches_prox,
     prox_scalar,
     q_objective,
     r1,
     r2,
     z_star,
 )
-from logsum_prox.scalar import _z_star_cached
+from logsum_prox import scalar
 
 P31 = ProxParams(3.0, 1.0)
 P23 = ProxParams(2.0, 3.0)
@@ -66,6 +68,19 @@ class TestProxParams:
         with pytest.raises(ValueError):
             ProxParams(lam, eps)
 
+    @pytest.mark.parametrize("lam,eps", [(np.float32(3.0), 1.0), (np.int64(3), 1), (3.0, np.float64(1.0)),
+                                         (np.float16(3.0), np.uint8(1)), (Fraction(3), 1.0)])
+    def test_accepts_every_real_type(self, lam, eps):
+        p = ProxParams(lam, eps)
+        assert type(p.lam) is float and type(p.eps) is float
+        assert p == P31 and p._rule == P31._rule
+
+    @pytest.mark.parametrize("lam,eps", [("3", 1.0), (3.0, "1"), (None, 1.0), (3.0, None),
+                                         (3.0 + 0j, 1.0), (3.0, np.complex128(1.0))])
+    def test_rejects_non_reals(self, lam, eps):
+        with pytest.raises(ValueError, match="must be a positive finite real"):
+            ProxParams(lam, eps)
+
     def test_regime_split(self):
         assert P23.regime() is Regime.CONVEX
         assert P31.regime() is Regime.NONCONVEX
@@ -87,6 +102,14 @@ class TestProxParams:
         q = dataclasses.replace(P31, eps=2.0)  # sqrt(3) <= 2
         assert q.regime() is Regime.CONVEX
         assert (q.threshold, q.bracket_low, q.r1_max) == (1.5, 2.0 * math.sqrt(3.0) - 2.0, math.sqrt(3.0) - 2.0)
+        assert q._solve is None and q._rule == (1.5, 0.0, -1.0)
+        # replace re-solves the jump point; the solve record stays outside the fields
+        r = dataclasses.replace(q, eps=0.5)
+        assert r._solve == z_star(ProxParams(3.0, 0.5)) and r._solve != z_star(P31)
+        assert r._rule == (r._solve.z_star, 1e-12 * r._solve.z_star, 1e-12 * r._solve.z_star)
+        assert repr(r) == "ProxParams(lam=3.0, eps=0.5)"
+        assert r == ProxParams(3.0, 0.5) and hash(r) == hash((3.0, 0.5))
+        assert [f.name for f in dataclasses.fields(r)] == ["lam", "eps"]
 
     @given(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))
     @settings(max_examples=200, deadline=None)
@@ -457,20 +480,30 @@ class TestZStar:
         with pytest.raises(RegimeError):
             z_star(P23)
 
-    def test_one_solve_per_pair(self):
+    def test_one_solve_per_pair(self, monkeypatch):
+        calls = []
+
+        def counted(params, s):
+            calls.append(params)
+            return solve(params, s)
+
+        solve = scalar._solve_z_star
+        monkeypatch.setattr(scalar, "_solve_z_star", counted)
         p = ProxParams(7.3, 1.1)
-        _z_star_cached.cache_clear()
+        assert calls == [p]  # building the pair solves once
         zs = z_star(p).z_star
         prox_scalar(p, zs)
+        prox_scalar(p, 2.0 * zs)
         failure_intervals(p, 0.0)
-        info = _z_star_cached.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
-        assert info.maxsize is not None  # bounded
+        assert calls == [p] and z_star(p) is p._solve
+        c = ProxParams(2.0, 3.0)
+        prox_scalar(c, 1.0)
+        failure_intervals(c, 0.0)
+        assert calls == [p]  # a convex pair runs none
 
     def test_memoized_value_is_race_free(self):
         p = ProxParams(5.77, 1.0)
-        _z_star_cached.cache_clear()
-        start = threading.Barrier(8)  # all threads miss the empty cache together
+        start = threading.Barrier(8)  # all threads read the pair's stored jump together
         results = []
 
         def worker():
@@ -484,8 +517,7 @@ class TestZStar:
             t.join()
         assert len(results) == 64 and len(set(results)) == 1
         # and the prox result equals a fresh single-threaded computation
-        _z_star_cached.cache_clear()
-        assert prox_scalar(p, 4.0).canonical == results[0]
+        assert prox_scalar(ProxParams(5.77, 1.0), 4.0).canonical == results[0]
 
 
 def mp_z_star(lam, eps, z0):
@@ -685,3 +717,29 @@ class TestProxScalar:
             qmin = float(np.min((grid - z) ** 2 / (2 * p.lam) + np.log1p(np.abs(grid) / p.eps)))
             for v in prox_scalar(p, z).values:
                 assert q_objective(p, z, v) <= qmin + 1e-9
+
+
+def _leaves(v):
+    if isinstance(v, tuple):
+        for x in v:
+            yield from _leaves(x)
+    else:
+        yield v
+
+
+@pytest.mark.parametrize("fn,args", [
+    (prox_scalar, (P31, np.float32(Z_STAR_31))),  # 1.14e-7 above z_star: a point, as in double
+    (prox_scalar, (P31, np.float32(-2.9))),
+    (r1, (P31, np.float32(2.9))),
+    (r2, (P31, np.float32(2.9))),
+    (q_objective, (P31, np.float32(2.7), np.float32(1.5))),
+    (irl1_simulate, (P31, np.float32(-2.9), np.float32(0.5))),
+    (irl1_predict_limit, (P31, np.float32(2.55), np.float32(0.5))),
+    (limit_matches_prox, (P31, np.float32(Z_STAR_31), np.float32(0.0))),  # the limit 0 is not in {point}
+], ids=["prox_scalar-at-z_star", "prox_scalar-negative", "r1", "r2", "q_objective", "irl1_simulate",
+         "irl1_predict_limit", "limit_matches_prox"])
+def test_single_precision_input_computes_in_double(fn, args):
+    """A float32 input gives its double's value and branch, and a Python float comes back."""
+    got = fn(*args)
+    assert got == fn(*(float(a) if isinstance(a, np.floating) else a for a in args))
+    assert all(type(x) is float for x in _leaves(got) if isinstance(x, (float, np.floating)))

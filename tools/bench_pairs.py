@@ -9,8 +9,10 @@ seed ``S + i`` and nothing else, so at the benchmark's run length; the parent ru
 so a drift in machine speed does not favour one side.  Every run is printed
 as it finishes.  Then, for each end-to-end metric of ``BENCHMARK.json``,
 the summary gives both sides' median and quartiles, how many pairs the
-change won (ties count for neither side), and the gap between the medians
-against the parent's interquartile range.  The calibration medians that
+change won (ties count for neither side), the gap between the medians
+against the parent's interquartile range, and whether the change's median
+is worse than the parent's by more than the metric's ``bound``; a last
+line lists every such breach, or says there is none.  The calibration medians that
 ``run.py`` prints (a pure-Python loop and a numpy SVD that never call the
 library) are summarized the same way: they show whether the machine's speed
 moved during the comparison.  When the two sides' median ``attempted``
@@ -64,7 +66,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(name: str, unit: str, parent: list[float], change: list[float], better: str | None) -> str:
+def worse_share(parent: list[float], change: list[float], better: str) -> float:
+    """How much worse the change's median is than the parent's, as a share of the parent's (negative: better)."""
+    p, c = quartiles(parent)[1], quartiles(change)[1]
+    return (p - c) / p if better == "higher" else (c - p) / p
+
+
+def summarize(name: str, unit: str, parent: list[float], change: list[float], better: str | None,
+              bound: float | None = None) -> str:
     pq, cq = quartiles(parent), quartiles(change)
     line = (f"{name} ({unit}): parent {pq[1]:.6g} [{pq[0]:.6g}, {pq[2]:.6g}] -> "
             f"change {cq[1]:.6g} [{cq[0]:.6g}, {cq[2]:.6g}]")
@@ -75,8 +84,12 @@ def summarize(name: str, unit: str, parent: list[float], change: list[float], be
     gap = sign * (cq[1] - pq[1])
     iqr = pq[2] - pq[0]
     ratio = cq[1] / pq[1] if pq[1] else float("nan")
-    return (f"{line}; ratio {ratio:.3f}; change better in {wins} of {len(parent)} pairs; "
+    line = (f"{line}; ratio {ratio:.3f}; change better in {wins} of {len(parent)} pairs; "
             f"median gap {gap:+.6g} ({better} is better) against parent IQR {iqr:.6g}")
+    if bound is None:
+        return line
+    worse = worse_share(parent, change, better)
+    return f"{line}; worse by {worse:+.1%} against bound {bound:.0%}: {'BEYOND' if worse > bound else 'within'} bound"
 
 
 def memory_per_extra_op(parent: list[dict], change: list[dict]) -> str | None:
@@ -100,6 +113,7 @@ def main() -> int:
     args = parser.parse_args()
     spec = json.loads(BENCHMARK.read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -114,10 +128,13 @@ def main() -> int:
                   f"wall {res['wall_s']:.1f} s", flush=True)
 
     print(f"\n{args.workload}: {args.pairs} pairs, seeds {args.seed0}-{args.seed0 + args.pairs - 1}")
+    breaches = []
     for name, unit in ((k, v["unit"]) for k, v in runs["parent"][0]["metrics"].items()):
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
-        print(summarize(name, unit, parent, change, better.get(name)))
+        print(summarize(name, unit, parent, change, better.get(name), bound.get(name)))
+        if name in bound and (worse := worse_share(parent, change, better[name])) > bound[name]:
+            breaches.append(f"{name} {worse:+.1%} (bound {bound[name]:.0%})")
     per_op = memory_per_extra_op(runs["parent"], runs["change"])
     if per_op:
         print(per_op)
@@ -131,6 +148,7 @@ def main() -> int:
     for side, rs in runs.items():
         print(f"{side}: correct in {sum(r['correct'] for r in rs)} of {len(rs)} runs, "
               f"failed {sum(r['failed'] for r in rs)} of {sum(r['attempted'] for r in rs)} ops")
+    print(f"{args.workload} bound breaches: {', '.join(breaches) if breaches else 'none'}")
     return 0
 
 
