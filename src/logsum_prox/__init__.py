@@ -1,7 +1,7 @@
 """Exact proximity operator of the log-sum penalty.
 
 Closed-form scalar/vector/matrix proximity operators of
-``sum_i log(1 + |x_i|/eps)``, the cached solve for the jump point of the
+``sum_i log(1 + |x_i|/eps)``, the jump point of the
 nonconvex-regime operator, a simulator and analytic limit map of the
 iteratively reweighted l1 scheme (including its exact failure intervals).
 The brute-force grid oracle that checks the closed forms is test evidence

@@ -94,7 +94,7 @@ class TestProxParams:
         assert P23.threshold == pytest.approx(2.0 / 3.0, abs=1e-16)
 
     def test_derived_constants_are_not_fields(self):
-        # the pair's constants are cached beside the fields, not as fields
+        # the pair's constants are stored beside the fields, not as fields
         assert [f.name for f in dataclasses.fields(ProxParams)] == ["lam", "eps"]
         assert repr(P31) == "ProxParams(lam=3.0, eps=1.0)"
         assert ProxParams(3, 1) == P31 and hash(P31) == hash((3.0, 1.0))
