@@ -9,8 +9,8 @@ Output formats: ``text`` (6 significant digits), ``csv`` and ``json``
 non-finite value, such as an unbounded interval end, as ``null``).  Every
 command hands :func:`_emit` one renderer per format and only the requested
 one runs.
-Exit codes: 0 success, 2 usage or input-file error, 3 regime/domain error,
-4 convergence failure.
+Exit codes, set by the library's errors (:func:`main` builds the pair once):
+0 success, 2 usage, input-file or pair error, 3 regime/domain error, 4 convergence failure.
 """
 
 from __future__ import annotations
@@ -32,16 +32,6 @@ from .scalar import ProxParams, Regime, r2, z_star
 from .vector import prox_vector
 
 __all__ = ["main", "build_parser"]
-
-
-def _positive_float(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a real number") from None
-    if not (math.isfinite(v) and v > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite real, got {text!r}")
-    return v
 
 
 def _float_list(text: str) -> list[float]:
@@ -123,22 +113,17 @@ def _emit(args, text, csv=None, payload=None) -> None:
         sys.stdout.write(out)
 
 
-def _params(args) -> ProxParams:
-    return ProxParams(args.lam, args.eps)
-
-
 def _add_common(sub, fmt_choices=("text", "csv", "json")) -> None:
-    sub.add_argument("--lambda", dest="lam", type=_positive_float, required=True,
+    sub.add_argument("--lambda", dest="lam", type=float, required=True,
                      help="prox index, must be > 0")
-    sub.add_argument("--eps", dest="eps", type=_positive_float, required=True,
+    sub.add_argument("--eps", dest="eps", type=float, required=True,
                      help="penalty scale, must be > 0")
     sub.add_argument("--format", choices=fmt_choices, default=fmt_choices[0],
                      help="output format")
     sub.add_argument("--output", default=None, help="write output to this file instead of stdout")
 
 
-def cmd_prox(args) -> int:
-    params = _params(args)
+def cmd_prox(params, args) -> int:
     res = prox_vector(params, np.asarray(args.z, dtype=float))
     zs = None
     if params.regime() is Regime.NONCONVEX:
@@ -173,11 +158,7 @@ def cmd_prox(args) -> int:
     return 0
 
 
-def cmd_zstar(args) -> int:
-    params = _params(args)
-    if params.regime() is Regime.CONVEX:
-        sys.stderr.write("convex regime: no jump point\n")
-        return 3
+def cmd_zstar(params, args) -> int:
     res = z_star(params)
     lo, hi = res.bracket
     _emit(
@@ -201,8 +182,7 @@ def cmd_zstar(args) -> int:
     return 0
 
 
-def cmd_irl1_simulate(args) -> int:
-    params = _params(args)
+def cmd_irl1_simulate(params, args) -> int:
     trace = irl1_simulate(params, args.z, args.x0, max_iters=args.max_iters)
     _emit(
         args,
@@ -223,8 +203,7 @@ def cmd_irl1_simulate(args) -> int:
     return 0
 
 
-def cmd_irl1_predict(args) -> int:
-    params = _params(args)
+def cmd_irl1_predict(params, args) -> int:
     pred = irl1_predict_limit(params, args.z, args.x0)
     kind = pred.classification.value
     _emit(
@@ -240,8 +219,7 @@ def cmd_irl1_predict(args) -> int:
     return 0
 
 
-def cmd_irl1_failures(args) -> int:
-    params = _params(args)
+def cmd_irl1_failures(params, args) -> int:
     report = failure_intervals(params, args.x0)
     sweep_rows = []
     if args.sweep is not None:
@@ -293,8 +271,7 @@ def cmd_irl1_failures(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    params = _params(args)
+def cmd_sweep(params, args) -> int:
     grid = _grid(args.start, args.stop, args.points)
     res = prox_vector(params, grid)
     rows = list(zip(grid.tolist(), res.canonical.tolist()))
@@ -317,8 +294,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_matprox(args) -> int:
-    params = _params(args)
+def cmd_matprox(params, args) -> int:
     z = matrix_io.read_matrix(args.infile, args.matfmt)
     res = prox_matrix(params, z)
     matrix_io.write_matrix(args.outfile, res.x_star, args.matfmt)
@@ -386,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("matprox", help="matrix prox via singular values")
-    p.add_argument("--lambda", dest="lam", type=_positive_float, required=True)
-    p.add_argument("--eps", dest="eps", type=_positive_float, required=True)
+    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--eps", dest="eps", type=float, required=True)
     p.add_argument("--in", dest="infile", required=True, help="input matrix file")
     p.add_argument("--out", dest="outfile", required=True, help="output matrix file")
     p.add_argument("--format", dest="matfmt", choices=("csv", "bin"), default="csv",
@@ -410,7 +386,7 @@ def main(argv=None) -> int:
         # argparse exits 0 for --help, 2 for usage errors
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        return args.func(ProxParams(args.lam, args.eps), args)
     except MatrixFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -238,7 +238,7 @@ def irl1_predict_limit(params: ProxParams, z: float, x0: float) -> LimitPredicti
         return LimitPrediction(s * lim, _R2 if lim > 0 else _ZERO, "conv3")
     if a < params.bracket_low:  # a > 0 here, so the bracket starts above 0
         return zeros["conv4"]
-    if params._convex:
+    if params._solve is None:
         return zeros["conv5"]
     r1a = r1(params, a)
     if abs(x0 - r1a) <= _R1_EQ_TOL * abs(r1a):
@@ -270,13 +270,13 @@ def failure_intervals(params: ProxParams, x0: float) -> FailureReport:
     if not 0.0 <= x0 < math.inf:
         _check_x0(x0)
     x0 = float(x0)
-    if params._convex:
+    if params._solve is None:
         return FailureReport(x0, None, (), FailureCase.EXACT)
     zs = params._solve.z_star
     if x0 >= params.r1_max:
         pos = Interval(params.bracket_low, zs, True, False)
         case = FailureCase.HIGH_X0
-    elif abs(x0 - (rs := r1(params, zs))) <= _R1_EQ_TOL * rs:  # r1(z_star) only where a case needs it
+    elif abs(x0 - (rs := r1(params, zs))) <= _R1_EQ_TOL * abs(rs):  # r1(z_star) only where a case needs it
         pos = Interval(zs, zs, True, True)
         case = FailureCase.KNIFE_EDGE_X0
     elif x0 > rs:

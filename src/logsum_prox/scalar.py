@@ -107,8 +107,7 @@ class ProxParams:
         # Plain attributes, not fields, so repr, ==, hash and fields() see
         # (lam, eps) only; dataclasses.replace re-runs this method.
         s = math.sqrt(lam)
-        object.__setattr__(self, "_convex", s <= eps)  # a bool, so a regime check is one attribute test
-        object.__setattr__(self, "_disc_cut", _VIETA_CANCEL * lam)  # see _root_radius
+        object.__setattr__(self, "_disc_cut", _VIETA_CANCEL * lam)  # see _root_radius and _by_vieta
         object.__setattr__(self, "threshold", lam / eps)
         object.__setattr__(self, "bracket_low", 2.0 * s - eps)
         object.__setattr__(self, "r1_max", s - eps)
@@ -122,7 +121,7 @@ class ProxParams:
         object.__setattr__(self, "_rule", rule)
 
     def regime(self) -> Regime:
-        return Regime.CONVEX if self._convex else Regime.NONCONVEX
+        return Regime.CONVEX if self._solve is None else Regime.NONCONVEX
 
 
 class ProxKind(Enum):
@@ -172,8 +171,15 @@ class ZStarResult(NamedTuple):
 
 
 def q_objective(params: ProxParams, z: float, x: float) -> float:
-    """Value of ``(x - z)^2 / (2*lam) + log(1 + |x|/eps)``, in double."""
+    """Value of ``(x - z)^2 / (2*lam) + log(1 + |x|/eps)``, in double.
+
+    Raises ``PreconditionError`` for a non-finite ``z`` or ``x``.
+    """
     z, x = float(z), float(x)
+    if not abs(z) < math.inf:
+        raise PreconditionError(f"z must be finite, got {z!r}")
+    if not abs(x) < math.inf:
+        raise PreconditionError(f"x must be finite, got {x!r}")
     d = x - z
     # halved after the division (exact above the subnormal range), so 2*lam cannot overflow
     quad = 0.5 * (d * d / params.lam)
@@ -193,10 +199,15 @@ def _root_radius(params: ProxParams, z: float) -> float:
     The square is a product, never ``**``: CPython's ``**`` calls the C
     library's ``pow``, which can round differently from numpy's squaring.
     Where the discriminant cancels (below ``_VIETA_CANCEL*lam``), it is formed
-    exactly from ``z``, ``eps`` and ``lam`` and rounded once.
+    exactly from ``z``, ``eps`` and ``lam`` and rounded once.  A non-finite
+    ``z`` raises ``PreconditionError``.
     """
     t = z + params.eps
     d = t * t / 4.0 - params.lam
+    if params._disc_cut <= d < math.inf:
+        return math.sqrt(d)
+    if not abs(z) < math.inf:  # checked off the common path, which has returned
+        raise PreconditionError(f"z must be finite, got {z!r}")
     if d == math.inf:
         # t*t overflowed: take h = |z + eps|/2 out of the root, h*sqrt((1 - s/h)*(1 + s/h))
         h = abs(0.5 * z + 0.5 * params.eps)
@@ -207,15 +218,14 @@ def _root_radius(params: ProxParams, z: float) -> float:
         if w >= -_DISC_CLAMP * q * q:
             return 0.0
         raise _below_bracket(params, z)
-    if d < params._disc_cut:
-        (zn, zd), (en, ed) = float(z).as_integer_ratio(), params.eps.as_integer_ratio()
-        ln, ld = params.lam.as_integer_ratio()
-        tn, td = zn * ed + en * zd, zd * ed  # z + eps = tn/td
-        d = (tn * tn * ld - 4 * ln * td * td) / (4 * ld * td * td)  # int / int rounds correctly
-        if d < 0.0:
-            if d >= -_DISC_CLAMP * params.lam:
-                return 0.0
-            raise _below_bracket(params, z)
+    (zn, zd), (en, ed) = float(z).as_integer_ratio(), params.eps.as_integer_ratio()
+    ln, ld = params.lam.as_integer_ratio()
+    tn, td = zn * ed + en * zd, zd * ed  # z + eps = tn/td
+    d = (tn * tn * ld - 4 * ln * td * td) / (4 * ld * td * td)  # int / int rounds correctly
+    if d < 0.0:
+        if d >= -_DISC_CLAMP * params.lam:
+            return 0.0
+        raise _below_bracket(params, z)
     return math.sqrt(d)
 
 
@@ -232,7 +242,7 @@ def r1(params: ProxParams, z: float) -> float:
     Near ``lam/eps``, where ``(z - eps)/2 - sqrt(...)`` cancels, it is taken
     by Vieta's formula from ``r2``: for every ``eps/sqrt(lam) < 1`` its
     relative error there is below ``1e-11``, and its sign is right on either
-    side.
+    side.  Raises ``PreconditionError`` for a non-finite ``z``.
     """
     z = float(z)
     half = 0.5 * z - 0.5 * params.eps  # halved first, so z - eps cannot overflow
@@ -250,7 +260,7 @@ def r2(params: ProxParams, z: float) -> float:
     the convex regime and ``lam/eps - eps`` in the nonconvex regime.  Below
     ``eps``, where ``(z - eps)/2 + sqrt(...)`` cancels, it is taken by
     Vieta's formula from ``r1``, so its sign is right even one double above
-    ``lam/eps``.
+    ``lam/eps``.  Raises ``PreconditionError`` for a non-finite ``z``.
     """
     z = float(z)
     half = 0.5 * z - 0.5 * params.eps
@@ -270,7 +280,7 @@ def _by_vieta(params: ProxParams, z: float, other: float) -> float:
     """
     lam, eps = params.lam, params.eps
     num = lam - z * eps
-    if _VIETA_CANCEL * lam <= abs(num) < math.inf or not math.isfinite(other):
+    if params._disc_cut <= abs(num) < math.inf or not math.isfinite(other):
         return num / other
     (ln, ld), (zn, zd), (en, ed) = lam.as_integer_ratio(), z.as_integer_ratio(), eps.as_integer_ratio()
     rn, rd = other.as_integer_ratio()
@@ -291,7 +301,7 @@ def z_star(params: ProxParams) -> ZStarResult:
 
     Raises ``RegimeError`` when ``sqrt(lam) <= eps``.
     """
-    if params._convex:
+    if params._solve is None:
         raise RegimeError(f"no jump point when sqrt(lam) <= eps; got lam={params.lam}, eps={params.eps}")
     return params._solve
 
@@ -348,16 +358,16 @@ def prox_scalar(params: ProxParams, z: float) -> ProxResult:
     if not abs(z) < math.inf:
         raise PreconditionError(f"z must be finite, got {z!r}")
     z = float(z)
-    (value,), pairs, jump = _prox_values(params, [z])
+    (value,), pairs = _prox_values(params, [z])
     if pairs:
-        other = r2(params, jump)
+        other = r2(params, params._rule[0])
         return ProxResult(ProxKind.PAIR, (0.0, other if z > 0 else -other))
     # r2 is nonzero wherever the rule takes it: above lam/eps, or at or above z_star
     return ProxResult(ProxKind.ZERO if value == 0.0 else ProxKind.POINT, (value,))
 
 
-def _prox_values(params: ProxParams, zs: list[float]) -> tuple[list[float], list[int], float]:
-    """Canonical prox value of each float in ``zs``, the positions on the jump point, and the jump.
+def _prox_values(params: ProxParams, zs: list[float]) -> tuple[list[float], list[int]]:
+    """Canonical prox value of each float in ``zs``, and the positions on the jump point.
 
     The branch rule, written once for every elementwise path and both
     regimes: zero where ``|z| - jump <= above``, a pair (canonical zero)
@@ -383,4 +393,4 @@ def _prox_values(params: ProxParams, zs: list[float]) -> tuple[list[float], list
             append(r2(params, a))
         else:
             append(-r2(params, a))
-    return values, pairs, jump
+    return values, pairs

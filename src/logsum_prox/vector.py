@@ -103,6 +103,6 @@ def prox_vector(params: ProxParams, z) -> VectorProxResult:
     indices equal ``prox_scalar`` on each component, bit for bit.
     """
     z = _validated_vector(z)
-    values, ambiguous, _ = _prox_values(params, z.tolist())
+    values, ambiguous = _prox_values(params, z.tolist())
     canonical = np.array(values)
     return VectorProxResult(canonical, tuple(ambiguous), vector_objective(params, canonical, z))

@@ -107,6 +107,33 @@ class TestProxCommand:
         assert run(capsys, "prox", "--lambda", "2", "--eps", "3", "--z", "a,b")[0] == 2
 
 
+# every subcommand, with the arguments it needs besides --lambda and --eps
+SUBCOMMANDS = {
+    "prox": (["prox"], ["--z", "1"]),
+    "zstar": (["zstar"], []),
+    "irl1 simulate": (["irl1", "simulate"], ["--z", "2.5", "--x0", "2"]),
+    "irl1 predict": (["irl1", "predict"], ["--z", "2.5", "--x0", "2"]),
+    "irl1 failures": (["irl1", "failures"], ["--x0", "1"]),
+    "sweep": (["sweep"], ["--from", "0", "--to", "1", "--points", "3"]),
+    "matprox": (["matprox"], ["--in", "missing.csv", "--out", "never.csv"]),
+}
+
+
+@pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf", "1e400"])
+@pytest.mark.parametrize("option", ["--lambda", "--eps"])
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_bad_pair_gets_the_library_message(capsys, tmp_path, monkeypatch, command, option, bad):
+    # the CLI checks the pair only through ProxParams, before any file is read or written
+    monkeypatch.chdir(tmp_path)
+    lam, eps = (bad, "1") if option == "--lambda" else ("3", bad)
+    with pytest.raises(ValueError) as exc:
+        ProxParams(float(lam), float(eps))
+    words, rest = SUBCOMMANDS[command]
+    code, out, err = run(capsys, *words, "--lambda", lam, "--eps", eps, *rest)
+    assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestZStarCommand:
     def test_nonconvex(self, capsys):
         code, out, _ = run(capsys, "zstar", "--lambda", "3", "--eps", "1")
@@ -117,7 +144,7 @@ class TestZStarCommand:
     def test_convex_exit_3(self, capsys):
         code, out, err = run(capsys, "zstar", "--lambda", "2", "--eps", "3")
         assert code == 3
-        assert err.strip() == "convex regime: no jump point"
+        assert err == "error: no jump point when sqrt(lam) <= eps; got lam=2.0, eps=3.0\n"
         assert out == ""
 
     def test_bracket_containment(self, capsys):

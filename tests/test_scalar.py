@@ -161,6 +161,19 @@ class TestQObjective:
 
 
 class TestRoots:
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("params", [P31, P23])
+    @pytest.mark.parametrize("call, name", [
+        (r1, "z"),
+        (r2, "z"),
+        (lambda p, v: q_objective(p, v, 1.0), "z"),
+        (lambda p, v: q_objective(p, 1.0, v), "x"),
+    ], ids=["r1", "r2", "q_objective_z", "q_objective_x"])
+    def test_rejects_nonfinite_argument(self, call, name, params, v):
+        # an error, never a silent nan or inf
+        with pytest.raises(PreconditionError, match=rf"^{name} must be finite, got {re.escape(repr(v))}$"):
+            call(params, v)
+
     def test_double_root_at_bracket_edge(self):
         # the discriminant is a tiny negative float here; the clamp must absorb it
         z_edge = 2.0 * math.sqrt(3.0) - 1.0

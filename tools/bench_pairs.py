@@ -11,18 +11,20 @@ as it finishes.  Then, for each end-to-end metric of ``BENCHMARK.json``,
 the summary gives both sides' median and quartiles, how many pairs the
 change won (ties count for neither side), the gap between the medians
 against the parent's interquartile range, and whether the change's median
-is worse than the parent's by more than the metric's ``bound``; a last
-line lists every such breach, or says there is none.  The calibration medians that
-``run.py`` prints (a pure-Python loop and a numpy SVD that never call the
-library) are summarized the same way: they show whether the machine's speed
-moved during the comparison.  When the two sides' median ``attempted``
-counts differ, the summary also gives the memory per extra op, the change
-in median ``peak_rss_mb`` over the change in median ``attempted``: the
-harness keeps a little memory per op, so a faster library raises
-``peak_rss_mb`` by about that much per extra op with no memory of its own.
-It means something only where the op counts differ by many thousands, as
-on ``param-scan``; a few hundred extra ops leave it at the noise of
-``peak_rss_mb``.  Each run's wall time, and each side's median of it, is
+is worse than the parent's by more than the metric's ``bound``, or
+``unresolved`` where the parent's own interquartile range is wider than
+that bound; a last line lists every breach, and apart from them every
+unresolved metric whose median is past its bound, or says there is none.
+The calibration medians that ``run.py`` prints (a pure-Python loop and a
+numpy SVD that never call the library) are summarized the same way: they
+show whether the machine's speed moved during the comparison.  When the
+two sides' median ``attempted`` counts differ, the summary also gives the
+memory per extra op, the change in median ``peak_rss_mb`` over the change
+in median ``attempted``: the harness keeps a little memory per op, so a
+faster library raises ``peak_rss_mb`` by about that much per extra op with
+no memory of its own.  It means something only where the op counts differ
+by many thousands, as on ``param-scan``; a few hundred extra ops leave it
+at the noise of ``peak_rss_mb``.  Each run's wall time, and each side's median of it, is
 printed but not compared: ``run.py`` checks every op after its 20 s op
 budget, so a faster library runs more ops and makes the whole run longer.
 """
@@ -72,6 +74,21 @@ def worse_share(parent: list[float], change: list[float], better: str) -> float:
     return (p - c) / p if better == "higher" else (c - p) / p
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> tuple[float, str]:
+    """``worse_share`` and whether it is ``within`` the bound, ``BEYOND`` it, or ``unresolved``.
+
+    Where the parent's interquartile range is wider than ``bound`` times its
+    median, noise alone can carry a median past the bound, so the metric is
+    ``unresolved``, unless every change run reads better than every parent run.
+    """
+    worse = worse_share(parent, change, better)
+    q1, median, q3 = quartiles(parent)
+    every_run_better = min(change) > max(parent) if better == "higher" else max(change) < min(parent)
+    if q3 - q1 > bound * abs(median) and not every_run_better:
+        return worse, "unresolved"
+    return worse, "BEYOND" if worse > bound else "within"
+
+
 def summarize(name: str, unit: str, parent: list[float], change: list[float], better: str | None,
               bound: float | None = None) -> str:
     pq, cq = quartiles(parent), quartiles(change)
@@ -88,8 +105,8 @@ def summarize(name: str, unit: str, parent: list[float], change: list[float], be
             f"median gap {gap:+.6g} ({better} is better) against parent IQR {iqr:.6g}")
     if bound is None:
         return line
-    worse = worse_share(parent, change, better)
-    return f"{line}; worse by {worse:+.1%} against bound {bound:.0%}: {'BEYOND' if worse > bound else 'within'} bound"
+    worse, state = verdict(parent, change, better, bound)
+    return f"{line}; worse by {worse:+.1%} against bound {bound:.0%}: {state} bound"
 
 
 def memory_per_extra_op(parent: list[dict], change: list[dict]) -> str | None:
@@ -128,13 +145,15 @@ def main() -> int:
                   f"wall {res['wall_s']:.1f} s", flush=True)
 
     print(f"\n{args.workload}: {args.pairs} pairs, seeds {args.seed0}-{args.seed0 + args.pairs - 1}")
-    breaches = []
+    breaches: dict[str, list[str]] = {"BEYOND": [], "unresolved": []}
     for name, unit in ((k, v["unit"]) for k, v in runs["parent"][0]["metrics"].items()):
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
         print(summarize(name, unit, parent, change, better.get(name), bound.get(name)))
-        if name in bound and (worse := worse_share(parent, change, better[name])) > bound[name]:
-            breaches.append(f"{name} {worse:+.1%} (bound {bound[name]:.0%})")
+        if name in bound:
+            worse, state = verdict(parent, change, better[name], bound[name])
+            if worse > bound[name]:
+                breaches[state].append(f"{name} {worse:+.1%} (bound {bound[name]:.0%})")
     per_op = memory_per_extra_op(runs["parent"], runs["change"])
     if per_op:
         print(per_op)
@@ -148,7 +167,8 @@ def main() -> int:
     for side, rs in runs.items():
         print(f"{side}: correct in {sum(r['correct'] for r in rs)} of {len(rs)} runs, "
               f"failed {sum(r['failed'] for r in rs)} of {sum(r['attempted'] for r in rs)} ops")
-    print(f"{args.workload} bound breaches: {', '.join(breaches) if breaches else 'none'}")
+    print(f"{args.workload} bound breaches: {', '.join(breaches['BEYOND']) or 'none'}; "
+          f"beyond the bound but unresolved: {', '.join(breaches['unresolved']) or 'none'}")
     return 0
 
 

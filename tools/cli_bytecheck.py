@@ -153,6 +153,11 @@ def _invocations(matrices: list[str]) -> list[list[str]]:
     cases.append(["irl1", "predict", "--lambda", "4.027183851979102e+123", "--eps", "6.346009616250486e+61",
                   "--z", "6.346009690351757e+61", "--x0", "1", "--format", "json"])
     cases.append(["prox", "--lambda", "0.9999", "--eps", "1", "--z", "1.000008999", "--format", "json"])
+    # a bad pair exits 2 from ProxParams, before any file is read or written
+    cases.append(["prox", "--lambda", "nan", "--eps", "1", "--z", "1"])
+    cases.append(["sweep", "--lambda", "3", "--eps", "inf", "--from", "0", "--to", "1", "--points", "3"])
+    cases.append(["irl1", "predict", "--lambda", "1e400", "--eps", "1", "--z", "1", "--x0", "1"])
+    cases.append(["matprox", "--lambda", "0", "--eps", "1", "--in", "in/missing.csv", "--out", "out/never.csv"])
     return cases
 
 
