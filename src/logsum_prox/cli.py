@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -32,6 +33,21 @@ from .scalar import ProxParams, Regime, r2, z_star
 from .vector import prox_vector
 
 __all__ = ["main", "build_parser"]
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that takes ``--z -1e-3``, ``--z -inf``, ``--z -1,2`` or
+    ``--sweep -6:6:5`` as an option with its value, as it takes ``--z=-1e-3``.
+
+    argparse reads a token that starts with ``-`` as an option unless it is a
+    plain decimal such as ``-2`` or ``-0.5``; here a ``-`` followed by a
+    digit, a point or ``inf``/``nan`` (any case) starts a value.  No option
+    of this CLI starts that way.  Subparsers are built from the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _float_list(text: str) -> list[float]:
@@ -314,7 +330,7 @@ def cmd_matprox(params, args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="logsum-prox",
         description="Exact proximity operator of the log-sum penalty, its jump point, "
                     "the reweighted-l1 iteration, and the singular-value matrix prox.",

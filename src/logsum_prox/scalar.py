@@ -36,7 +36,10 @@ import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError, PreconditionError, RegimeError
 
@@ -62,6 +65,11 @@ _DISC_CLAMP = 1e-12
 # discriminant are formed exact-rational where they fall below this share of
 # lam, so that the roundings of their float forms cost at most 2**-39 relative.
 _VIETA_CANCEL = 2.0**-12
+
+# From this length on, _prox_array applies the branch rule as numpy passes;
+# below it the loop of _prox_values is faster.  The two tie at about 128
+# elements drawn uniformly from [-4*jump, 4*jump], in either regime.
+_MASK_MIN = 128
 
 
 class Regime(Enum):
@@ -369,15 +377,15 @@ def prox_scalar(params: ProxParams, z: float) -> ProxResult:
 def _prox_values(params: ProxParams, zs: list[float]) -> tuple[list[float], list[int]]:
     """Canonical prox value of each float in ``zs``, and the positions on the jump point.
 
-    The branch rule, written once for every elementwise path and both
-    regimes: zero where ``|z| - jump <= above``, a pair (canonical zero)
-    where also ``jump - |z| <= below``, otherwise ``sgn(z) * r2(|z|)``.
-    Convex: ``jump = lam/eps``, ``above = 0`` (the boundary is zero) and
-    ``below = -1``, so no pair.  Nonconvex: ``jump = z_star`` and
-    ``above = below = 1e-12 * z_star``.  The pair holds the three as
-    ``params._rule``, set when it was built.  Near the jump ``|z| - jump`` is
-    exact, and distinct doubles never subtract to zero.  A plain loop over
-    Python floats, with no object per element.
+    The branch rule for both regimes: zero where ``|z| - jump <= above``, a
+    pair (canonical zero) where also ``jump - |z| <= below``, otherwise
+    ``sgn(z) * r2(|z|)``.  Convex: ``jump = lam/eps``, ``above = 0`` (the
+    boundary is zero) and ``below = -1``, so no pair.  Nonconvex:
+    ``jump = z_star`` and ``above = below = 1e-12 * z_star``.  The pair holds
+    the three as ``params._rule``, set when it was built.  Near the jump
+    ``|z| - jump`` is exact, and distinct doubles never subtract to zero.  A
+    plain loop over Python floats, with no object per element;
+    :func:`_prox_array` applies the same rule to long arrays as numpy passes.
     """
     jump, above, below = params._rule
     values: list[float] = []
@@ -394,3 +402,26 @@ def _prox_values(params: ProxParams, zs: list[float]) -> tuple[list[float], list
         else:
             append(-r2(params, a))
     return values, pairs
+
+
+def _prox_array(params: ProxParams, z: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """:func:`_prox_values` of a 1-d float array, as an array: the same bits and positions.
+
+    Below ``_MASK_MIN`` elements this is that loop.  From there on the
+    rule's comparisons run as numpy passes over ``|z|``, in the same double
+    arithmetic, and ``r2`` is called on the nonzero elements only, as Python
+    floats in index order; their signs are set by negation, which is exact.
+    The positions are Python ints, as the loop gives them.
+    """
+    if z.size < _MASK_MIN:
+        values, pairs = _prox_values(params, z.tolist())
+        return np.array(values, dtype=float), pairs
+    jump, above, below = params._rule
+    a = np.abs(z)
+    zero = a - jump <= above
+    pairs = np.flatnonzero(zero & (jump - a <= below)).tolist()
+    idx = np.flatnonzero(~zero)
+    v = np.fromiter(map(r2, repeat(params), a[idx].tolist()), float, idx.size)
+    canonical = np.zeros(z.shape)
+    canonical[idx] = np.where(z[idx] > 0, v, -v)
+    return canonical, pairs

@@ -6,6 +6,11 @@ Cartesian product of the scalar minimizer sets.  The full set is never
 materialized (it has ``2**k`` elements when ``k`` components sit on the
 jump point); one canonical selection is returned together with the indices
 where the scalar operator is two-valued.
+
+The scalar rule is applied in one of two passes, chosen by length: a loop
+over Python floats for short vectors, and numpy mask passes that leave
+only the nonzero components to ``r2`` for long ones.  Both give the bits
+of ``prox_scalar``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError
-from .scalar import ProxParams, _prox_values
+from .scalar import ProxParams, _prox_array
 # prox_scalar stays a module attribute: perfbench/tracing.py patches it by name
 from .scalar import prox_scalar  # noqa: F401
 
@@ -98,11 +103,13 @@ def prox_vector(params: ProxParams, z) -> VectorProxResult:
     """Apply the scalar operator to every component of ``z``.
 
     The rule of ``prox_scalar``: zero below the jump, the pair (canonical
-    zero, an ambiguous index) on it, ``sgn(z) * r2(|z|)`` above it.  One pass
-    of that rule over ``z.tolist()``; the canonical values and ambiguous
-    indices equal ``prox_scalar`` on each component, bit for bit.
+    zero, an ambiguous index) on it, ``sgn(z) * r2(|z|)`` above it.  A
+    vector shorter than ``scalar._MASK_MIN`` takes that rule as one loop
+    over ``z.tolist()``; a longer one takes it as numpy mask passes, with
+    ``r2`` called on the nonzero components only.  On either path the
+    canonical values and ambiguous indices equal ``prox_scalar`` on each
+    component, bit for bit.
     """
     z = _validated_vector(z)
-    values, ambiguous = _prox_values(params, z.tolist())
-    canonical = np.array(values)
+    canonical, ambiguous = _prox_array(params, z)
     return VectorProxResult(canonical, tuple(ambiguous), vector_objective(params, canonical, z))

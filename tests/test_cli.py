@@ -107,6 +107,33 @@ class TestProxCommand:
         assert run(capsys, "prox", "--lambda", "2", "--eps", "3", "--z", "a,b")[0] == 2
 
 
+@pytest.mark.parametrize("words, option, value", [
+    (["prox", "--lambda", "3", "--eps", "1"], "--z", "-1e-3"),
+    (["prox", "--lambda", "3", "--eps", "1"], "--z", "-inf"),
+    (["prox", "--lambda", "3", "--eps", "1"], "--z", "-1,2"),
+    (["prox", "--lambda", "3", "--eps", "1"], "--z", "-NaN"),
+    (["prox", "--lambda", "3", "--eps", "1"], "--z", "-.5e1"),
+    (["irl1", "failures", "--lambda", "3", "--eps", "1", "--x0", "1"], "--sweep", "-6:6:5"),
+    (["irl1", "predict", "--lambda", "3", "--eps", "1", "--x0", "1"], "--z", "-inf"),
+    (["irl1", "predict", "--lambda", "3", "--eps", "1", "--z", "2.5"], "--x0", "-1e-300"),
+    (["sweep", "--lambda", "3", "--eps", "1", "--to", "1", "--points", "3"], "--from", "-1e1"),
+    (["prox", "--eps", "1", "--z", "1"], "--lambda", "-inf"),
+])
+def test_a_negative_value_after_a_space(capsys, words, option, value):
+    # argparse reads a token that starts with "-" and is not a plain decimal as an
+    # option ("expected one argument"); the CLI's parser reads these as values
+    spaced = run(capsys, *words, option, value)
+    joined = run(capsys, *words, f"{option}={value}")
+    assert spaced == joined
+    assert "expected one argument" not in spaced[2]
+
+
+def test_an_option_after_an_option_is_still_missing_its_value(capsys):
+    code, out, err = run(capsys, "prox", "--lambda", "3", "--eps", "1", "--z", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert "argument --z: expected one argument" in err
+
+
 # every subcommand, with the arguments it needs besides --lambda and --eps
 SUBCOMMANDS = {
     "prox": (["prox"], ["--z", "1"]),

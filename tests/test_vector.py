@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from logsum_prox import scalar as scalar_module
 from logsum_prox import (
     PreconditionError,
     ProxKind,
@@ -20,6 +21,7 @@ from logsum_prox import (
     vector_objective,
     z_star,
 )
+from logsum_prox.scalar import _MASK_MIN
 
 P31 = ProxParams(3.0, 1.0)
 P23 = ProxParams(2.0, 3.0)
@@ -74,25 +76,73 @@ def _landmarks(p):
     return [v for v in out if math.isfinite(v)]
 
 
-@given(
-    pairs_st,
-    st.lists(st.floats(0.0, 4.0), max_size=20),
-    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=10),
-    st.randoms(use_true_random=False),
-)
-@settings(max_examples=300, deadline=None)
-def test_matches_scalar_componentwise(p, scales, raw, rnd):
-    # the vector pass applies the scalar rule bit for bit, -0.0 included, and reports
-    # exactly the components where prox_scalar is two-valued
-    landmarks = _landmarks(p)
-    anchor = z_star(p).z_star if p.regime() is Regime.NONCONVEX else p.threshold
-    z = landmarks + [rnd.choice((-1.0, 1.0)) * s * anchor for s in scales] + raw
-    rnd.shuffle(z)
+def _assert_componentwise(p, z):
+    """``prox_vector(p, z)`` against ``prox_scalar`` on each component: canonical bits,
+    the objective's bits and the ambiguous indices, which are Python ints."""
     res = prox_vector(p, z)
     scalar = [prox_scalar(p, v) for v in z]
     want = np.array([r.canonical for r in scalar])
     assert np.array_equal(res.canonical.view(np.int64), want.view(np.int64))
     assert res.ambiguous_indices == tuple(i for i, r in enumerate(scalar) if r.kind is ProxKind.PAIR)
+    assert all(type(i) is int for i in res.ambiguous_indices)
+    want_objective = vector_objective(p, want, z)
+    assert np.float64(res.objective_value).view(np.int64) == np.float64(want_objective).view(np.int64)
+    return res
+
+
+@given(
+    pairs_st,
+    st.lists(st.floats(0.0, 4.0), max_size=20),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=10),
+    st.integers(1, 16),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_matches_scalar_componentwise(p, scales, raw, tiles, rnd):
+    # either pass applies the scalar rule bit for bit, -0.0 included, and reports
+    # exactly the components where prox_scalar is two-valued; tiling the drawn
+    # elements takes many vectors past _MASK_MIN, onto the mask pass
+    landmarks = _landmarks(p)
+    anchor = z_star(p).z_star if p.regime() is Regime.NONCONVEX else p.threshold
+    z = (landmarks + [rnd.choice((-1.0, 1.0)) * s * anchor for s in scales] + raw) * tiles
+    rnd.shuffle(z)
+    _assert_componentwise(p, z)
+
+
+def _edge_elements(p):
+    """Landmarks of ``p`` plus a subnormal, inputs below ``eps`` (where ``r2`` goes by
+    Vieta's formula when it is nonzero), inputs just above ``lam/eps`` and plain ones."""
+    t, eps = p.threshold, p.eps
+    out = _landmarks(p) + [5e-324, -2.2e-310, 1e-300]
+    out += [eps * f for f in (0.25, 0.5, 0.9, 0.999999)]
+    up = t
+    for _ in range(4):
+        up = math.nextafter(up, math.inf)
+        out.append(up)
+    out += [t * (1 + 1e-15), t * (1 + 1e-9), t * (1 + 1e-3)]
+    rng = np.random.default_rng(17)
+    out += (rng.uniform(-4.0, 4.0, 40) * max(t, eps)).tolist()
+    out += [-v for v in out]
+    return [v for v in out if math.isfinite(v)]
+
+
+@pytest.mark.parametrize("pair", [(3.0, 1.0), (2.0, 3.0), (1e10, 1e-10), (0.9999, 1.0), (1e-300, 1e-160)])
+def test_both_passes_at_the_mask_length(pair, monkeypatch):
+    # the same elements at _MASK_MIN - 1 (the loop) and at _MASK_MIN (the mask pass)
+    p = ProxParams(*pair)
+    elements = _edge_elements(p)
+    z = (elements * (_MASK_MIN // len(elements) + 1))[:_MASK_MIN]
+    short = _assert_componentwise(p, z[:-1])
+    full = _assert_componentwise(p, z)
+    loops = []
+    original = scalar_module._prox_values
+    monkeypatch.setattr(scalar_module, "_prox_values", lambda *a: loops.append(len(a[1])) or original(*a))
+    prox_vector(p, z[:-1])
+    prox_vector(p, z)
+    assert loops == [_MASK_MIN - 1]
+    assert np.array_equal(full.canonical[:-1].view(np.int64), short.canonical.view(np.int64))
+    if p.regime() is Regime.NONCONVEX:
+        assert len(short.ambiguous_indices) >= 2
 
 
 def test_objective_value_definition():

@@ -158,6 +158,17 @@ def _invocations(matrices: list[str]) -> list[list[str]]:
     cases.append(["sweep", "--lambda", "3", "--eps", "inf", "--from", "0", "--to", "1", "--points", "3"])
     cases.append(["irl1", "predict", "--lambda", "1e400", "--eps", "1", "--z", "1", "--x0", "1"])
     cases.append(["matprox", "--lambda", "0", "--eps", "1", "--in", "in/missing.csv", "--out", "out/never.csv"])
+    # a vector long enough for prox_vector's mask pass (at least 128 elements), planted at +-z_star;
+    # the "=" form, which a tree that reads "--z -6.0,..." as an option also takes
+    long_z = ",".join([*(repr(k / 16) for k in range(-96, 97)), ZS31, f"-{ZS31}"])
+    each_format("prox", *p31, f"--z={long_z}")
+    # a value that starts with "-" after a space, as its "=" form
+    cases.append(["prox", *p31, "--z", "-1e-3"])
+    cases.append(["prox", *p31, "--z", "-inf"])
+    cases.append(["prox", *p31, "--z", "-1,2"])
+    cases.append(["irl1", "failures", *p31, "--x0", "1", "--sweep", "-6:6:5"])
+    cases.append(["irl1", "predict", *p31, "--z", "-inf", "--x0", "1"])
+    cases.append(["prox", "--lambda", "-inf", "--eps", "1", "--z", "1"])
     return cases
 
 
