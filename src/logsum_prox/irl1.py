@@ -24,7 +24,8 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import PreconditionError
-from .scalar import ProxParams, prox_scalar, r1, r2
+# r1 is not called here; it stays a module attribute: perfbench/tracing.py patches it by name
+from .scalar import ProxParams, prox_scalar, r1, r2  # noqa: F401
 
 __all__ = [
     "StopReason",
@@ -49,10 +50,6 @@ DEFAULT_MAX_ITERS = 10**6
 DEFAULT_STOP_TOL = 1e-12
 _MATCH_TOL = 1e-8
 
-# Equality with r1-values is a measure-zero knife edge; resolved within this
-# relative tolerance.
-_R1_EQ_TOL = 1e-12
-
 
 class StopReason(Enum):
     FIXED_POINT_HIT = "fixed_point_hit"
@@ -71,9 +68,9 @@ class FailureCase(Enum):
 
     EXACT = "exact"  # convex regime: the iteration is always exact
     HIGH_X0 = "high_x0"  # x0 >= sqrt(lam) - eps
-    MID_X0 = "mid_x0"  # r1(z_star) < x0 < sqrt(lam) - eps
-    KNIFE_EDGE_X0 = "knife_edge_x0"  # x0 == r1(z_star): fails only at +/- z_star
-    LOW_X0 = "low_x0"  # 0 <= x0 < r1(z_star)
+    MID_X0 = "mid_x0"  # zx < z_star, that is r1(z_star) < x0
+    KNIFE_EDGE_X0 = "knife_edge_x0"  # zx == z_star with x0 > 0: fails only at +/- z_star
+    LOW_X0 = "low_x0"  # zx > z_star, that is x0 < r1(z_star); and x0 == 0
 
 
 class IrlTrace(NamedTuple):
@@ -91,8 +88,8 @@ class LimitPrediction(NamedTuple):
     """Analytic limit of the iteration, as a ``NamedTuple``.
 
     ``justification`` names the convergence case (``conv1``..``conv6``) that
-    settles the limit.  ``classification`` is ``R1_FIXED_POINT`` only in the
-    knife-edge start ``x0 == r1(|z|)`` inside the nonconvex critical band;
+    settles the limit.  ``classification`` is ``R1_FIXED_POINT`` only on the
+    knife edge ``|z| == x0 + lam/(eps + x0)``, where ``x0 == r1(|z|)``;
     otherwise it reports whether the limit is zero or the nonzero root.
     """
 
@@ -204,8 +201,10 @@ def irl1_simulate(params: ProxParams, z: float, x0: float,
 def irl1_predict_limit(params: ProxParams, z: float, x0: float) -> LimitPrediction:
     """Analytic limit of the iteration, without iterating.
 
-    Case analysis on ``|z|`` against ``2*sqrt(lam)-eps``, ``z_star`` and
-    ``lam/eps``, and on ``x0`` against ``r1(|z|)``:
+    Case analysis on ``|z|`` against ``2*sqrt(lam)-eps`` and ``lam/eps``,
+    and on ``x0`` against ``r1(|z|)``, which needs no root: ``r1`` decreases
+    on the bracket, so for ``0 <= x0 < sqrt(lam)-eps``, ``x0 < r1(|z|)``
+    exactly when ``|z| < zx = x0 + lam/(eps + x0)``, where ``r1(zx) == x0``:
 
     * ``conv2``: some iterate is exactly zero (in particular ``x0 == 0`` or
       ``z == 0``): limit 0 for ``|z| <= lam/eps``, else ``r2(|z|)``.
@@ -213,11 +212,12 @@ def irl1_predict_limit(params: ProxParams, z: float, x0: float) -> LimitPredicti
     * ``conv4``: ``0 < |z| < 2*sqrt(lam)-eps``: limit 0.
     * ``conv5``: convex regime, ``0 < |z| < lam/eps``, ``x0 > 0``: limit 0.
     * ``conv6``: nonconvex critical band ``2*sqrt(lam)-eps <= |z| < lam/eps``:
-      limit 0 if ``x0 < r1(|z|)``, the unstable fixed point ``r1(|z|)`` if
-      ``x0`` equals it (within ``1e-12 * r1``), else ``r2(|z|)``.
+      for ``x0 < sqrt(lam)-eps``, limit 0 if ``|z| < zx`` and the unstable
+      fixed point ``x0`` if ``|z| == zx``; otherwise ``r2(|z|)``.
 
-    A zero limit is one of eight shared records, one per sign and case tag:
-    compare by value.  A non-finite ``z`` raises ``PreconditionError``.
+    :func:`failure_intervals` forms the same double ``zx``.  A zero limit is
+    one of eight shared records, one per sign and case tag: compare by
+    value.  A non-finite ``z`` raises ``PreconditionError``.
     """
     if not 0.0 <= x0 < math.inf:
         _check_x0(x0)
@@ -240,11 +240,12 @@ def irl1_predict_limit(params: ProxParams, z: float, x0: float) -> LimitPredicti
         return zeros["conv4"]
     if params._solve is None:
         return zeros["conv5"]
-    r1a = r1(params, a)
-    if abs(x0 - r1a) <= _R1_EQ_TOL * abs(r1a):
-        return LimitPrediction(s * r1a, _R1_FIXED_POINT, "conv6")
-    if x0 < r1a:
-        return zeros["conv6"]
+    if x0 < params.r1_max:
+        zx = x0 + params.lam / (params.eps + x0)
+        if a < zx:
+            return zeros["conv6"]
+        if a == zx:
+            return LimitPrediction(s * x0, _R1_FIXED_POINT, "conv6")
     return LimitPrediction(s * r2(params, a), _R2, "conv6")
 
 
@@ -252,39 +253,37 @@ def failure_intervals(params: ProxParams, x0: float) -> FailureReport:
     """Exact inputs ``z`` on which the iteration limit misses the true prox.
 
     Convex regime: the iteration is always exact and the list is empty.
-    Nonconvex regime, with ``rs = r1(z_star)``, ``top = sqrt(lam)-eps`` and
-    ``zx = x0 + lam/(eps + x0)``, the ``z`` on the bracket with ``r1(z) == x0``:
+    Nonconvex regime, with ``top = sqrt(lam)-eps`` and ``zx = x0 + lam/(eps + x0)``,
+    the ``z`` on the bracket with ``r1(z) == x0`` (``lam/eps`` at ``x0 = 0``).
+    ``r1`` decreases there, so ``x0 > r1(z_star)`` exactly when ``zx < z_star``:
 
-    * ``x0 >= top``:            fails on +/- [2*sqrt(lam)-eps, z_star)
-    * ``x0 == rs`` (within ``1e-12 * rs``): fails exactly at +/- z_star
-    * ``rs < x0 < top``:        fails on +/- [zx, z_star)
-    * ``0 <= x0 < rs``:         fails on +/- (z_star, zx]
+    * ``x0 >= top``:              fails on +/- [2*sqrt(lam)-eps, z_star)
+    * ``x0 == 0 or zx > z_star``: fails on +/- (z_star, zx]
+    * ``zx < z_star``:            fails on +/- [zx, z_star)
+    * ``zx == z_star``:           fails exactly at +/- z_star
 
-    The first case that holds applies, decided on the doubles ``x0`` and
-    ``r1(z_star)``, not on exact values.  Where ``2*sqrt(lam)-eps``,
-    ``z_star`` and ``lam/eps`` round to one double, ``r1(z_star)`` can round
-    below zero, so ``x0 = 0`` reads ``mid_x0`` where exact arithmetic gives
-    ``low_x0``; neither interval holds a double there.  The negative-side
-    interval is the mirror image of the positive one.
+    The first case that holds applies, decided on the printed doubles, with
+    no root.  Where a start within ulps of ``top`` or 0 rounds ``zx`` past
+    a bracket end, the interval stops there (open at ``lam/eps`` for
+    ``x0 > 0``, which is ``conv3``).  So outside the prox's pair window an
+    input lies in an interval exactly when :func:`irl1_predict_limit` misses
+    the prox.  The negative-side interval mirrors the positive one.
     """
     if not 0.0 <= x0 < math.inf:
         _check_x0(x0)
     x0 = float(x0)
     if params._solve is None:
         return FailureReport(x0, None, (), FailureCase.EXACT)
-    zs = params._solve.z_star
+    zs, zx = params._solve.z_star, x0 + params.lam / (params.eps + x0)
     if x0 >= params.r1_max:
-        pos = Interval(params.bracket_low, zs, True, False)
-        case = FailureCase.HIGH_X0
-    elif abs(x0 - (rs := r1(params, zs))) <= _R1_EQ_TOL * abs(rs):  # r1(z_star) only where a case needs it
-        pos = Interval(zs, zs, True, True)
-        case = FailureCase.KNIFE_EDGE_X0
-    elif x0 > rs:
-        pos = Interval(x0 + params.lam / (params.eps + x0), zs, True, False)
-        case = FailureCase.MID_X0
+        pos, case = Interval(params.bracket_low, zs, True, False), FailureCase.HIGH_X0
+    elif x0 == 0.0 or zx > zs:  # x0 = 0 is conv2's zero start
+        hi = min(zx, params.threshold)
+        pos, case = Interval(zs, hi, False, x0 == 0.0 or hi < params.threshold), FailureCase.LOW_X0
+    elif zx < zs:
+        pos, case = Interval(max(zx, params.bracket_low), zs, True, False), FailureCase.MID_X0
     else:
-        pos = Interval(zs, x0 + params.lam / (params.eps + x0), False, True)
-        case = FailureCase.LOW_X0
+        pos, case = Interval(zs, zs, True, True), FailureCase.KNIFE_EDGE_X0
     lo, hi, lo_closed, hi_closed = pos  # pos.mirrored(), without the method call
     return FailureReport(x0, zs, (Interval(-hi, -lo, hi_closed, lo_closed), pos), case)
 

@@ -104,13 +104,13 @@ class ProxParams:
     eps: float
 
     def __post_init__(self):
-        if not (isinstance(self.lam, numbers.Real) and math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"lam must be a positive finite real, got {self.lam!r}")
-        if not (isinstance(self.eps, numbers.Real) and math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be a positive finite real, got {self.eps!r}")
-        lam, eps = float(self.lam), float(self.eps)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "eps", eps)
+        for name in ("lam", "eps"):  # a positive finite float skips the numbers.Real ABC check
+            x = getattr(self, name)
+            if not (type(x) is float and 0.0 < x < math.inf):
+                if not (isinstance(x, numbers.Real) and math.isfinite(x) and x > 0):
+                    raise ValueError(f"{name} must be a positive finite real, got {x!r}")
+                object.__setattr__(self, name, float(x))
+        lam, eps = self.lam, self.eps
         # Constants of the pair, derived once: every call on it reads them.
         # Plain attributes, not fields, so repr, ==, hash and fields() see
         # (lam, eps) only; dataclasses.replace re-runs this method.

@@ -226,7 +226,8 @@ class TestPredict:
 
 def predicted_by_case_table(p, z, x0):
     """``(limit, kind, tag)`` from irl1_predict_limit's docstring, read literally,
-    with the public ``r1``/``r2`` and the sign of ``z`` on every limit."""
+    with the public ``r2``, ``zx = x0 + lam/(eps + x0)`` and the sign of ``z`` on
+    every limit."""
     a = abs(z)
     sign = 1.0 if z >= 0 else -1.0
     threshold, bracket_low = p.lam / p.eps, 2.0 * math.sqrt(p.lam) - p.eps
@@ -242,11 +243,11 @@ def predicted_by_case_table(p, z, x0):
         return sign * 0.0, LimitKind.ZERO, "conv4"
     if convex:
         return sign * 0.0, LimitKind.ZERO, "conv5"
-    r1a = r1(p, a)
-    if abs(x0 - r1a) <= 1e-12 * abs(r1a):
-        return sign * r1a, LimitKind.R1_FIXED_POINT, "conv6"
-    if x0 < r1a:
+    zx = x0 + p.lam / (p.eps + x0)
+    if x0 < math.sqrt(p.lam) - p.eps and a < zx:
         return sign * 0.0, LimitKind.ZERO, "conv6"
+    if x0 < math.sqrt(p.lam) - p.eps and a == zx:
+        return sign * x0, LimitKind.R1_FIXED_POINT, "conv6"
     return sign * r2(p, a), LimitKind.R2, "conv6"
 
 
@@ -254,7 +255,8 @@ def predicted_by_case_table(p, z, x0):
 def predict_cases(draw, whole_range=True):
     """A pair from the tested band or the whole double range (the band only
     if not ``whole_range``), an input in a chosen region of the case analysis
-    and a start chosen against r1 there."""
+    and a start chosen against r1 there; or, in the region ``on_zx``, a start
+    below ``sqrt(lam) - eps`` and the input ``zx`` of its knife edge."""
     if not whole_range or draw(st.booleans()):
         eps = draw(st.floats(0.1, 3.0))
         lam = (eps * draw(st.floats(0.15, 3.2))) ** 2
@@ -263,8 +265,13 @@ def predict_cases(draw, whole_range=True):
     p = ProxParams(lam, eps)
     lo, hi = max(p.bracket_low, 0.0), min(p.threshold, 1e300)
     f, g = draw(st.floats(0.0, 1.0)), draw(st.floats(0.01, 0.99))
-    region = draw(st.sampled_from(["zero", "below", "band", "band", "beyond"]))
-    a = {"zero": 0.0, "below": f * lo, "band": lo + f * max(hi - lo, 0.0), "beyond": hi * (1.0 + 4.0 * f)}[region]
+    region = draw(st.sampled_from(["zero", "below", "band", "band", "beyond", "on_zx"]))
+    if region == "on_zx" and p.regime() is Regime.NONCONVEX:
+        x0 = g * p.r1_max
+        a = x0 + lam / (eps + x0)
+        return p, -a if draw(st.booleans()) else a, x0
+    a = {"zero": 0.0, "below": f * lo, "band": lo + f * max(hi - lo, 0.0), "beyond": hi * (1.0 + 4.0 * f),
+         "on_zx": f * lo}[region]
     r1a = r1(p, a) if p.regime() is Regime.NONCONVEX and lo <= a < p.threshold else None
     start = draw(st.sampled_from(["zero", "on_r1", "near_r1", "below_r1", "above_r1", "any"]))
     if r1a is None or r1a <= 0.0 or start in ("zero", "any"):
@@ -284,9 +291,13 @@ class TestPredictCaseTable:
     @example(case=(P31, -2.0, 5.0))  # conv4, nonconvex: -0.0
     @example(case=(ProxParams(1.0, 1.5), 0.3, 1.0))  # conv4, convex with a positive bracket edge
     @example(case=(ProxParams(1.0, 1.5), -0.6, 1.0))  # conv5: -0.0
-    @example(case=(P31, 2.5, 0.5))  # conv6 on r1(2.5) = 0.5
+    @example(case=(P31, 2.5, 0.5))  # conv6 on r1(2.5) = 0.5: zx = 0.5 + 3/1.5 = 2.5 exactly
     @example(case=(P31, -2.5, 0.3))  # conv6 below r1: -0.0
     @example(case=(P31, -2.5, 2.0))  # conv6 above r1
+    @example(case=(P31, 2.4999999999999996, 0.5))  # one double below zx: a zero limit
+    @example(case=(P31, 2.5000000000000004, 0.5))  # one double above zx: r2
+    @example(case=(ProxParams(1.0, 0.1), 1.9, 0.8999999999999999))  # x0 is the double r1(1.9), yet 1.9 < zx: 0
+    @example(case=(P31, 2.0 * SQRT3 - 1.0, SQRT3 - 1.0))  # x0 on sqrt(lam) - eps, z on the bracket end: r2
     @given(predict_cases())
     @settings(max_examples=400, deadline=None)
     def test_matches_the_case_table(self, case):
@@ -414,13 +425,13 @@ class TestFailureIntervals:
         assert not pos.lower_closed and pos.upper_closed
 
     def test_one_double_bracket(self):
-        # 2*sqrt(lam) - eps, z_star and lam/eps round to one double here, and r1(z_star)
-        # (5.75e-13 exactly) rounds to -4.4e-16, so x0 = 0 is mid_x0 on the doubles
-        # rather than low_x0; either way no double fails: the exact bracket holds none
+        # 2*sqrt(lam) - eps, z_star and lam/eps round to one double here; x0 = 0 is low_x0,
+        # as in exact arithmetic (r1(z_star) = 5.75e-13 > 0), with the interval (z_star, lam/eps],
+        # which holds no double: the exact bracket holds none
         p = ProxParams(1.0000000000023026, 1.0000000000000004)
         rep = failure_intervals(p, 0.0)
         assert p.bracket_low == rep.z_star == p.threshold == 1.0000000000023022
-        assert rep.case is FailureCase.MID_X0
+        assert rep.case is FailureCase.LOW_X0
         for iv in rep.intervals:
             assert abs(iv.lower) == abs(iv.upper) == rep.z_star
             assert not iv.contains(rep.z_star) and not iv.contains(-rep.z_star)
@@ -465,28 +476,27 @@ class TestFailureIntervals:
 
 def failure_report_by_case_table(p, x0):
     """``(x0, z_star, intervals, case)`` from failure_intervals's docstring, read literally,
-    with the public ``r1`` and ``zx = x0 + lam/(eps + x0)``, the first case that holds."""
+    with ``zx = x0 + lam/(eps + x0)`` and the bracket ends, the first case that holds."""
     s = math.sqrt(p.lam)
     if s <= p.eps:
         return x0, None, (), FailureCase.EXACT
     zs = z_star(p).z_star
-    rs, top, zx = r1(p, zs), s - p.eps, x0 + p.lam / (p.eps + x0)
+    top, zx, low, high = s - p.eps, x0 + p.lam / (p.eps + x0), 2.0 * s - p.eps, p.lam / p.eps
     if x0 >= top:
-        case, pos = FailureCase.HIGH_X0, Interval(2.0 * s - p.eps, zs, True, False)
-    elif abs(x0 - rs) <= 1e-12 * rs:
-        case, pos = FailureCase.KNIFE_EDGE_X0, Interval(zs, zs, True, True)
-    elif rs < x0 < top:
-        case, pos = FailureCase.MID_X0, Interval(zx, zs, True, False)
+        case, pos = FailureCase.HIGH_X0, Interval(low, zs, True, False)
+    elif x0 == 0.0 or zx > zs:
+        case, pos = FailureCase.LOW_X0, Interval(zs, min(zx, high), False, x0 == 0.0 or zx < high)
+    elif zx < zs:
+        case, pos = FailureCase.MID_X0, Interval(max(zx, low), zs, True, False)
     else:
-        assert 0.0 <= x0 < rs
-        case, pos = FailureCase.LOW_X0, Interval(zs, zx, False, True)
+        case, pos = FailureCase.KNIFE_EDGE_X0, Interval(zs, zs, True, True)
     return x0, zs, (pos.mirrored(), pos), case
 
 
 @st.composite
 def failure_cases(draw):
     """A pair from the tested band or the whole double range and a start chosen
-    against ``r1(z_star)`` and ``sqrt(lam) - eps``."""
+    against ``r1(z_star)`` and ``sqrt(lam) - eps``, tiny starts included."""
     if draw(st.booleans()):
         eps = draw(st.floats(0.1, 3.0))
         lam = (eps * draw(st.floats(0.15, 3.2))) ** 2
@@ -500,9 +510,9 @@ def failure_cases(draw):
     rs, top = r1(p, z_star(p).z_star), p.r1_max
     if rs <= 0.0:  # z_star, lam/eps and bracket_low can be one double, where r1 rounds below 0
         return p, draw(st.sampled_from([0.0, any_x0]))
-    near = draw(st.sampled_from([5e-13, -5e-13, 3e-12, -3e-12]))  # inside and just outside the knife edge
-    x0 = draw(st.sampled_from([0.0, g * rs, rs, rs * (1.0 + near), rs + g * (top - rs), top, top * (1.0 + g),
-                               any_x0]))
+    near = draw(st.sampled_from([5e-13, -5e-13, 3e-12, -3e-12]))  # starts 5e-13 and 3e-12 off r1(z_star)
+    x0 = draw(st.sampled_from([0.0, 5e-324, rs * 1e-20, g * rs, rs, rs * (1.0 + near), rs + g * (top - rs),
+                               math.nextafter(top, 0.0), top, top * (1.0 + g), any_x0]))
     return p, x0
 
 
@@ -511,11 +521,15 @@ class TestFailureCaseTable:
     @example(case=(P31, 2.0))  # high start
     @example(case=(P31, SQRT3 - 1.0))  # high start on sqrt(lam) - eps
     @example(case=(P31, 0.5))  # mid start
-    @example(case=(P31, r1(P31, ZS31)))  # knife edge
-    @example(case=(P31, r1(P31, ZS31) * (1.0 + 5e-13)))  # knife edge, within 1e-12
+    @example(case=(P31, r1(P31, ZS31)))  # knife edge: zx == z_star
+    @example(case=(P31, r1(P31, ZS31) * (1.0 + 5e-13)))  # mid start 5e-13 above r1(z_star): zx < z_star
     @example(case=(P31, r1(P31, ZS31) * (1.0 + 3e-12)))  # mid start beside the knife edge
+    @example(case=(P31, r1(P31, ZS31) * (1.0 - 3e-12)))  # low start beside the knife edge
     @example(case=(P31, 0.1))  # low start
-    @example(case=(P31, 0.0))  # low start at zero
+    @example(case=(P31, 0.0))  # low start at zero: (z_star, lam/eps], lam/eps included
+    @example(case=(P31, 1e-17))  # zx rounds to lam/eps = 3.0, where conv3 takes over: (z_star, 3.0)
+    @example(case=(P31, math.nextafter(SQRT3 - 1.0, 0.0)))  # mid start, zx on the bracket end
+    @example(case=(ProxParams(2.0, 1.0), 0.4142135623730951))  # mid start, zx one double below the bracket end
     @example(case=(ProxParams(1.6269779599083617e-50, 4.36226149196013e-45), 0.0))  # r1(z_star) = 1.3e-26
     @example(case=(ProxParams(1.0000000000023026, 1.0000000000000004), 0.0))  # r1(z_star) = -4.4e-16
     @given(failure_cases())
@@ -526,6 +540,65 @@ class TestFailureCaseTable:
         assert got == want and repr(tuple(got)) == repr(want)
         if got.intervals:
             assert got.intervals[0] == got.intervals[1].mirrored()
+
+
+@st.composite
+def nonconvex_starts(draw):
+    """A nonconvex pair from the tested band or log-uniform over the double range, and a
+    start at 0, below ``r1(z_star)``, on it, between it and ``top = sqrt(lam) - eps``, on
+    ``top`` or above it; or a tiny start, or one double below ``top``."""
+    if draw(st.booleans()):
+        eps = draw(st.floats(0.1, 3.0))
+        lam = (eps * draw(st.floats(1.0, 3.2, exclude_min=True))) ** 2
+    else:
+        lam, eps = 10.0 ** draw(st.floats(-300.0, 300.0)), 10.0 ** draw(st.floats(-300.0, 300.0))
+    p = ProxParams(lam, eps)
+    assume(p.regime() is Regime.NONCONVEX)
+    rs, top, g = r1(p, z_star(p).z_star), p.r1_max, draw(st.floats(0.01, 0.99))
+    x0 = draw(st.sampled_from([0.0, g * rs, rs, rs + g * (top - rs), top, top * (1.0 + g),
+                               5e-324, rs * 1e-20, math.nextafter(top, 0.0)]))
+    return p, max(x0, 0.0)  # r1(z_star) rounds below 0 where the bracket is one double
+
+
+def ulps_around(z, n):
+    """The ``2*n + 1`` doubles from ``n`` below ``z`` to ``n`` above it."""
+    below, above = [z], [z]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+class TestTableAgreesWithSweep:
+    """``irl1 failures --sweep`` prints the failure table beside each point's ``agree``;
+    the two must tell the same story on every double.  Probed within 8 ulps of ``zx``,
+    of the bracket ends ``2*sqrt(lam) - eps`` and ``lam/eps``, and of the ends of the
+    prox's pair window ``z_star*(1 +/- 1e-12)``, on both signs.  Inside the window the
+    prox holds both branches, so every limit matches it there: those inputs are skipped."""
+
+    @example(case=(P31, 0.5))  # mid: zx = 2.5 exactly
+    @example(case=(P31, 0.1))  # low: zx = 0.1 + 3/1.1
+    @example(case=(P31, 0.0))  # low at zero: (z_star, 3]
+    @example(case=(P31, 1e-17))  # low: zx rounds to lam/eps
+    @example(case=(ProxParams(2.0, 1.0), 0.4142135623730951))  # mid: zx a double below the bracket
+    @example(case=(P31, SQRT3 - 1.0))  # high
+    @given(nonconvex_starts())
+    @settings(max_examples=300, deadline=None)
+    def test_an_input_fails_exactly_where_the_table_says(self, case):
+        p, x0 = case
+        report = failure_intervals(p, x0)
+        zs = report.z_star
+        anchors = [x0 + p.lam / (p.eps + x0), p.bracket_low, p.threshold, zs * (1.0 - 1e-12), zs * (1.0 + 1e-12)]
+        for anchor in anchors:
+            if not anchor < math.inf:
+                continue
+            for a in ulps_around(anchor, 8):
+                for z in (a, -a):
+                    if prox_scalar(p, z).is_ambiguous:
+                        continue
+                    in_table = any(iv.contains(z) for iv in report.intervals)
+                    misses = not limit_matches_prox(p, z, irl1_predict_limit(p, z, x0).limit)
+                    assert in_table == misses, (z, report.case, irl1_predict_limit(p, z, x0))
 
 
 class TestInterval:

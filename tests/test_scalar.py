@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import numbers
 import re
 import sys
 import threading
@@ -54,6 +55,17 @@ def tie_gap(p, z):
     return q_objective(p, z, r2(p, z)) - q_objective(p, z, 0.0)
 
 
+class FloatSub(float):
+    pass
+
+
+def abc_checked(name, x):
+    """What the pair's check gives ``x`` without the float fast path: the stored float, or the error."""
+    if not (isinstance(x, numbers.Real) and math.isfinite(x) and x > 0):
+        return ValueError(f"{name} must be a positive finite real, got {x!r}")
+    return float(x)
+
+
 params_st = st.builds(
     ProxParams,
     st.floats(0.01, 100.0),
@@ -80,6 +92,33 @@ class TestProxParams:
     def test_rejects_non_reals(self, lam, eps):
         with pytest.raises(ValueError, match="must be a positive finite real"):
             ProxParams(lam, eps)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308,
+                                       FloatSub(3.0), FloatSub(-1.0), np.float64(3.0), np.float64(math.nan),
+                                       3, 0, True, False, Fraction(3), Fraction(-1, 2)], ids=repr)
+    @pytest.mark.parametrize("name", ["lam", "eps"])
+    def test_float_fast_path_keeps_the_abc_result(self, name, value):
+        # a positive finite float skips the numbers.Real check: every value gets what that check gives
+        want = abc_checked(name, value)
+        pair = {"lam": 3.0, "eps": 1.0, name: value}
+        if isinstance(want, ValueError):
+            with pytest.raises(ValueError, match="^" + re.escape(str(want)) + "$"):
+                ProxParams(**pair)
+        else:
+            got = getattr(ProxParams(**pair), name)
+            assert type(got) is float and got == want
+
+    @given(st.floats(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_every_float_gets_the_abc_result(self, value, as_lam):
+        name = "lam" if as_lam else "eps"
+        want = abc_checked(name, value)
+        pair = {"lam": 3.0, "eps": 1.0, name: value}
+        if isinstance(want, ValueError):
+            with pytest.raises(ValueError, match="^" + re.escape(str(want)) + "$"):
+                ProxParams(**pair)
+        else:
+            assert getattr(ProxParams(**pair), name) == want
 
     def test_regime_split(self):
         assert P23.regime() is Regime.CONVEX

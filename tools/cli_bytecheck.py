@@ -169,6 +169,10 @@ def _invocations(matrices: list[str]) -> list[list[str]]:
     cases.append(["irl1", "failures", *p31, "--x0", "1", "--sweep", "-6:6:5"])
     cases.append(["irl1", "predict", *p31, "--z", "-inf", "--x0", "1"])
     cases.append(["prox", "--lambda", "-inf", "--eps", "1", "--z", "1"])
+    # the knife edge of x0 = 0.5 at (3, 1): zx = 0.5 + 3/1.5 = 2.5 exactly, and one double either side
+    for z in ("2.4999999999999996", "2.5", "2.5000000000000004"):
+        each_format("irl1", "predict", *p31, "--z", z, "--x0", "0.5")
+    each_format("irl1", "failures", *p31, "--x0", "0.5", "--sweep", "2.499999999999999:2.500000000000001:5")
     return cases
 
 
