@@ -100,6 +100,7 @@ class LimitPrediction(NamedTuple):
 
 # What irl1_predict_limit returns, prebuilt: enum members, and one zero limit per sign and case tag.
 _ZERO, _R1_FIXED_POINT, _R2 = LimitKind.ZERO, LimitKind.R1_FIXED_POINT, LimitKind.R2
+_new = tuple.__new__  # builds a record on the hot paths, without NamedTuple's Python-level __new__
 _ZEROS = {s: {tag: LimitPrediction(s * 0.0, _ZERO, tag) for tag in ("conv2", "conv4", "conv5", "conv6")}
           for s in (1.0, -1.0)}
 
@@ -232,10 +233,10 @@ def irl1_predict_limit(params: ProxParams, z: float, x0: float) -> LimitPredicti
     if x0 == 0.0:
         if a <= params.threshold:
             return zeros["conv2"]
-        return LimitPrediction(s * r2(params, a), _R2, "conv2")
+        return _new(LimitPrediction, (s * r2(params, a), _R2, "conv2"))
     if a >= params.threshold:
         lim = r2(params, a)
-        return LimitPrediction(s * lim, _R2 if lim > 0 else _ZERO, "conv3")
+        return _new(LimitPrediction, (s * lim, _R2 if lim > 0 else _ZERO, "conv3"))
     if a < params.bracket_low:  # a > 0 here, so the bracket starts above 0
         return zeros["conv4"]
     if params._solve is None:
@@ -245,8 +246,8 @@ def irl1_predict_limit(params: ProxParams, z: float, x0: float) -> LimitPredicti
         if a < zx:
             return zeros["conv6"]
         if a == zx:
-            return LimitPrediction(s * x0, _R1_FIXED_POINT, "conv6")
-    return LimitPrediction(s * r2(params, a), _R2, "conv6")
+            return _new(LimitPrediction, (s * x0, _R1_FIXED_POINT, "conv6"))
+    return _new(LimitPrediction, (s * r2(params, a), _R2, "conv6"))
 
 
 def failure_intervals(params: ProxParams, x0: float) -> FailureReport:
@@ -276,16 +277,16 @@ def failure_intervals(params: ProxParams, x0: float) -> FailureReport:
         return FailureReport(x0, None, (), FailureCase.EXACT)
     zs, zx = params._solve.z_star, x0 + params.lam / (params.eps + x0)
     if x0 >= params.r1_max:
-        pos, case = Interval(params.bracket_low, zs, True, False), FailureCase.HIGH_X0
+        lo, hi, lo_closed, hi_closed, case = params.bracket_low, zs, True, False, FailureCase.HIGH_X0
     elif x0 == 0.0 or zx > zs:  # x0 = 0 is conv2's zero start
         hi = min(zx, params.threshold)
-        pos, case = Interval(zs, hi, False, x0 == 0.0 or hi < params.threshold), FailureCase.LOW_X0
+        lo, lo_closed, hi_closed, case = zs, False, x0 == 0.0 or hi < params.threshold, FailureCase.LOW_X0
     elif zx < zs:
-        pos, case = Interval(max(zx, params.bracket_low), zs, True, False), FailureCase.MID_X0
+        lo, hi, lo_closed, hi_closed, case = max(zx, params.bracket_low), zs, True, False, FailureCase.MID_X0
     else:
-        pos, case = Interval(zs, zs, True, True), FailureCase.KNIFE_EDGE_X0
-    lo, hi, lo_closed, hi_closed = pos  # pos.mirrored(), without the method call
-    return FailureReport(x0, zs, (Interval(-hi, -lo, hi_closed, lo_closed), pos), case)
+        lo, hi, lo_closed, hi_closed, case = zs, zs, True, True, FailureCase.KNIFE_EDGE_X0
+    pair = (_new(Interval, (-hi, -lo, hi_closed, lo_closed)), _new(Interval, (lo, hi, lo_closed, hi_closed)))
+    return _new(FailureReport, (x0, zs, pair, case))
 
 
 def limit_matches_prox(params: ProxParams, z: float, limit: float) -> bool:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError
-from .scalar import ProxParams, _prox_array
+from .scalar import _MASK_MIN, ProxParams, _prox_array
 # prox_scalar stays a module attribute: perfbench/tracing.py patches it by name
 from .scalar import prox_scalar  # noqa: F401
 
@@ -94,8 +94,8 @@ def _validated_vector(z) -> np.ndarray:
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.ndim != 1 or z.size < 1:
         raise PreconditionError(f"z must be a nonempty 1-d vector, got shape {z.shape}")
-    if not np.isfinite(z).all():
-        raise PreconditionError("z must have finite entries")
+    if not (all(map(math.isfinite, z.tolist())) if z.size < _MASK_MIN else np.isfinite(z).all()):
+        raise PreconditionError("z must have finite entries")  # a short z is checked as floats: faster
     return z
 
 
