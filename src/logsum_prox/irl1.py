@@ -100,7 +100,7 @@ class LimitPrediction(NamedTuple):
 
 # What irl1_predict_limit returns, prebuilt: enum members, and one zero limit per sign and case tag.
 _ZERO, _R1_FIXED_POINT, _R2 = LimitKind.ZERO, LimitKind.R1_FIXED_POINT, LimitKind.R2
-_new = tuple.__new__  # builds a record on the hot paths, without NamedTuple's Python-level __new__
+_new = tuple.__new__  # builds irl1_predict_limit's records without NamedTuple's Python-level __new__
 _ZEROS = {s: {tag: LimitPrediction(s * 0.0, _ZERO, tag) for tag in ("conv2", "conv4", "conv5", "conv6")}
           for s in (1.0, -1.0)}
 
@@ -277,16 +277,16 @@ def failure_intervals(params: ProxParams, x0: float) -> FailureReport:
         return FailureReport(x0, None, (), FailureCase.EXACT)
     zs, zx = params._solve.z_star, x0 + params.lam / (params.eps + x0)
     if x0 >= params.r1_max:
-        lo, hi, lo_closed, hi_closed, case = params.bracket_low, zs, True, False, FailureCase.HIGH_X0
+        pos, case = Interval(params.bracket_low, zs, True, False), FailureCase.HIGH_X0
     elif x0 == 0.0 or zx > zs:  # x0 = 0 is conv2's zero start
         hi = min(zx, params.threshold)
-        lo, lo_closed, hi_closed, case = zs, False, x0 == 0.0 or hi < params.threshold, FailureCase.LOW_X0
+        pos, case = Interval(zs, hi, False, x0 == 0.0 or hi < params.threshold), FailureCase.LOW_X0
     elif zx < zs:
-        lo, hi, lo_closed, hi_closed, case = max(zx, params.bracket_low), zs, True, False, FailureCase.MID_X0
+        pos, case = Interval(max(zx, params.bracket_low), zs, True, False), FailureCase.MID_X0
     else:
-        lo, hi, lo_closed, hi_closed, case = zs, zs, True, True, FailureCase.KNIFE_EDGE_X0
-    pair = (_new(Interval, (-hi, -lo, hi_closed, lo_closed)), _new(Interval, (lo, hi, lo_closed, hi_closed)))
-    return _new(FailureReport, (x0, zs, pair, case))
+        pos, case = Interval(zs, zs, True, True), FailureCase.KNIFE_EDGE_X0
+    lo, hi, lo_closed, hi_closed = pos  # pos.mirrored(), without the method call
+    return FailureReport(x0, zs, (Interval(-hi, -lo, hi_closed, lo_closed), pos), case)
 
 
 def limit_matches_prox(params: ProxParams, z: float, limit: float) -> bool:

@@ -330,13 +330,12 @@ def _solve_z_star(params: ProxParams, s: float) -> ZStarResult:
         t = 1.0 + max(0.5 * d * (1.0 + 0.5625 * d), 2.0**-52)
     else:
         t = c + math.sqrt(2.0 * L)  # leading term of t* = c + sqrt(2*(L - 1 + log t* + c/t*))
-    log, tol = math.log, 4.0 * sys.float_info.epsilon  # read once, not once per step
     for it in range(1, 65):
         u = t - c
-        head, quad, frac = log(t) + L, 0.5 * u * u, u / t
+        head, quad, frac = math.log(t) + L, 0.5 * u * u, u / t
         # g(t), with -1 + c/t written as -u/t so that no term cancels near c = 1
         g = head - quad - frac
-        if abs(g) <= tol * (head + quad + frac):
+        if abs(g) <= 4.0 * sys.float_info.epsilon * (head + quad + frac):
             break
         if g > 0.0:
             lo = t
@@ -350,7 +349,7 @@ def _solve_z_star(params: ProxParams, s: float) -> ZStarResult:
         t = t_next
     else:
         raise ConvergenceError(f"jump-point solve did not settle in 64 steps (lam={params.lam!r}, eps={eps!r})")
-    return tuple.__new__(ZStarResult, (s * (u + 1.0 / t), (params.bracket_low, params.threshold), it, abs(g)))
+    return ZStarResult(s * (u + 1.0 / t), (params.bracket_low, params.threshold), it, abs(g))
 
 
 def prox_scalar(params: ProxParams, z: float) -> ProxResult:

@@ -59,11 +59,16 @@ class FloatSub(float):
     pass
 
 
-def abc_checked(name, x):
-    """What the pair's check gives ``x`` without the float fast path: the stored float, or the error."""
+def assert_abc_result(name, x):
+    """The pair gives ``x`` what its check gives without the float fast path: the stored float, or the error."""
+    pair = {"lam": 3.0, "eps": 1.0, name: x}
     if not (isinstance(x, numbers.Real) and math.isfinite(x) and x > 0):
-        return ValueError(f"{name} must be a positive finite real, got {x!r}")
-    return float(x)
+        want = f"{name} must be a positive finite real, got {x!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(want) + "$"):
+            ProxParams(**pair)
+    else:
+        got = getattr(ProxParams(**pair), name)
+        assert type(got) is float and got == float(x)
 
 
 params_st = st.builds(
@@ -99,26 +104,12 @@ class TestProxParams:
     @pytest.mark.parametrize("name", ["lam", "eps"])
     def test_float_fast_path_keeps_the_abc_result(self, name, value):
         # a positive finite float skips the numbers.Real check: every value gets what that check gives
-        want = abc_checked(name, value)
-        pair = {"lam": 3.0, "eps": 1.0, name: value}
-        if isinstance(want, ValueError):
-            with pytest.raises(ValueError, match="^" + re.escape(str(want)) + "$"):
-                ProxParams(**pair)
-        else:
-            got = getattr(ProxParams(**pair), name)
-            assert type(got) is float and got == want
+        assert_abc_result(name, value)
 
     @given(st.floats(), st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_every_float_gets_the_abc_result(self, value, as_lam):
-        name = "lam" if as_lam else "eps"
-        want = abc_checked(name, value)
-        pair = {"lam": 3.0, "eps": 1.0, name: value}
-        if isinstance(want, ValueError):
-            with pytest.raises(ValueError, match="^" + re.escape(str(want)) + "$"):
-                ProxParams(**pair)
-        else:
-            assert getattr(ProxParams(**pair), name) == want
+        assert_abc_result("lam" if as_lam else "eps", value)
 
     def test_regime_split(self):
         assert P23.regime() is Regime.CONVEX

@@ -289,6 +289,15 @@ class TestValidation:
         with pytest.raises(PreconditionError):
             prox_vector(P31, [float("inf")])
 
+    @pytest.mark.parametrize("n", [_MASK_MIN - 1, _MASK_MIN])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_on_both_sides_of_mask_min(self, n, bad):
+        # the short check reads Python floats, the long one numpy's isfinite: one message
+        z = [1.0] * n
+        z[n // 2] = bad
+        with pytest.raises(PreconditionError, match="^z must have finite entries$"):
+            prox_vector(P31, np.array(z))
+
     def test_not_a_vector(self):
         with pytest.raises(PreconditionError):
             prox_vector(P31, [[1.0, 2.0], [3.0, 4.0]])
